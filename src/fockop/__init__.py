@@ -30,9 +30,11 @@ from .funcspace import (
     slice_head,
     slice_tail,
 )
-from .linalg import SvdTriple, head_det_modulus, is_unitary, spectral_norm, svd
+from .linalg import SvdTriple, is_unitary, spectral_norm, svd
 from .quad import NormResult, QuadSpec, fock_norm, fock_sup_norm, slice_norm
 from .wco import (
+    Analysis,
+    CarlesonReport,
     Classification,
     EllProfile,
     NormBounds,
@@ -40,6 +42,8 @@ from .wco import (
     WcoProblem,
     admissibility,
     alternative_normalization,
+    analyze,
+    carleson_integral,
     classify,
     composition_criterion,
     ell_at,
@@ -49,12 +53,11 @@ from .wco import (
     ell_sup,
     essential_norm_bounds,
     m_at,
-    m_sup,
     norm_bounds,
     normalize,
     normalize_pair,
 )
-from .carleson import CarlesonReport, berezin_transform, carleson_integral, pullback_mass
+from .carleson import berezin_transform, pullback_mass
 from .oracle import (
     TruncationSpec,
     basis_indices,

@@ -4,187 +4,25 @@ The rotated operator induces the measure on C^s (s = rank of the map)
 
     mu(E) = (q/2pi)^s  Integral_{phi_s^{-1}(E)}  ||psi_t(z, .)||_q^q  e^{-q|z|^2/2} dA(z)
 
-whose Berezin-type transform and the L^r size of ell (r = pq/(p-q)) decide
-boundedness: for q < p the operator is bounded iff compact iff ell is in
-L^r(C^s), and the norm is comparable to ||ell||_{L^r}.
+This module integrates against it: the mass of balls (``pullback_mass``) and
+the Berezin-type transform (``berezin_transform``).  For q < p the operator
+is bounded iff compact iff ell is in L^r(C^s), r = pq/(p-q), and the norm is
+comparable to ||ell||_{L^r}; that integral lives in ``wco`` beside the other
+ell statistics and is re-exported here as ``carleson_integral``.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gamma, hyp1f1, logsumexp
 
-from .errors import DimensionError, DomainError
+from .errors import DomainError
 from .funcspace import AffineMap, ExpPoly, Term, compose_affine, multiply
 from .linalg import as_cvector
-from .quad import DEFAULT_SPEC, NormResult, QuadSpec, fock_norm, _gh_rule
-from .wco import (
-    CERTIFIED,
-    NUMERIC_EVIDENCE,
-    EllProfile,
-    Normalization,
-    _build_profile,
-    ell_at_many,
-)
+from .quad import DEFAULT_SPEC, QuadSpec, coordinate_grid, fock_norm, single_term_norm, slice_norm
+from .wco import CarlesonReport, Normalization, carleson_integral
 
 __all__ = ["CarlesonReport", "carleson_integral", "pullback_mass", "berezin_transform"]
-
-
-@dataclass(frozen=True)
-class CarlesonReport:
-    """L^r summary of ell.  ``member`` is the integrability verdict."""
-
-    r_exponent: float
-    lr_norm: NormResult
-    member: bool
-    mode: str
-
-
-def _r_exponent(p: float, q: float) -> float:
-    if not (0 < q < p):
-        raise DomainError(f"this range needs 0 < q < p, got p={p}, q={q}")
-    return p * q / (p - q)
-
-
-def _closed_form_log_integral(profile: EllProfile, r: float) -> float:
-    """log of Integral ell^r dA for a single-term certified profile.
-
-    Per coordinate:
-        Integral |z|^(r d) exp(-r t |z|^2 + r Re(z conj(w))) dA
-      = 2 pi * Gamma(m/2+1) / (2 (r t)^(m/2+1)) * 1F1(m/2+1; 1; r|w|^2/(2(1-a^2)))
-    with m = r d and t = (1 - a^2)/2.
-    """
-    log_total = r * math.log(profile.constant_factor)
-    for a, w, d in zip(profile.a, profile.w, profile.deg):
-        t = (1.0 - a * a) / 2.0
-        if t <= 0.0:
-            return math.inf
-        m = r * d
-        x = r * (abs(w) ** 2) / (2.0 * (1.0 - a * a))
-        if d == 0:
-            log_i = math.log(math.pi / (r * t)) + x
-        else:
-            val = (
-                2.0
-                * math.pi
-                * gamma(m / 2.0 + 1.0)
-                / (2.0 * (r * t) ** (m / 2.0 + 1.0))
-                * hyp1f1(m / 2.0 + 1.0, 1.0, x)
-            )
-            log_i = math.log(val)
-        log_total += log_i
-    return log_total
-
-
-def _quadrature_log_integral(profile: EllProfile, r: float, spec: QuadSpec) -> float:
-    """Gauss-Hermite value of log Integral ell^r dA over C^s.
-
-    Each coordinate is integrated against its own Gaussian rate r*(1-a^2)/2
-    centered at the per-coordinate drift maximizer; the compensating
-    exponential is applied in log space.
-    """
-    s = profile.s
-    fast = (
-        profile.exact_factor
-        or (profile.mode == CERTIFIED and all(sum(t.power[s:]) == 0 for t in profile.normalization.psi_t.terms))
-        or s == profile.normalization.n
-    )
-    k = spec.resolve_nodes(s) if fast else min(10, spec.resolve_nodes(s))
-    t_rule, w_rule = np.polynomial.hermite.hermgauss(k)
-
-    axes_nodes = []
-    axes_logw = []
-    centers = []
-    rates = []
-    for i in range(s):
-        a = profile.a[i]
-        t_i = max((1.0 - a * a) / 2.0, 1e-6)
-        rate = r * t_i
-        c = profile.w[i] / (2.0 * t_i)
-        centers.append(c)
-        rates.append(rate)
-        h = 1.0 / math.sqrt(rate)
-        axes_nodes.append((c.real + t_rule * h, c.imag + t_rule * h))
-        # raw weights here: the recentering exponential is added back in log
-        # space below, so the e^{t^2} compensation must not be pre-applied
-        axes_logw.append(np.log(w_rule) - 0.5 * math.log(rate))
-
-    grids = []
-    for i in range(s):
-        xs, ys = axes_nodes[i]
-        grids.append((xs[:, None] + 1j * ys[None, :]).ravel())
-    logw2d = [(axes_logw[i][:, None] + axes_logw[i][None, :]).ravel() for i in range(s)]
-
-    mesh = np.meshgrid(*grids, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=-1)
-    logw = np.zeros(pts.shape[0])
-    shape = [g.shape[0] for g in grids]
-    for i in range(s):
-        reshaped = logw2d[i].reshape([1] * i + [shape[i]] + [1] * (s - 1 - i))
-        logw += np.broadcast_to(reshaped, shape).ravel()
-
-    vals = ell_at_many(profile, pts, spec)
-    with np.errstate(divide="ignore"):
-        logell = np.log(vals)
-    comp = np.zeros(pts.shape[0])
-    for i in range(s):
-        comp += rates[i] * np.abs(pts[:, i] - centers[i]) ** 2
-    return float(logsumexp(r * logell + comp + logw))
-
-
-def carleson_integral(norm: Normalization, p: float, q: float, spec: QuadSpec | None = None) -> CarlesonReport:
-    """||ell||_{L^r(C^s)} with the membership verdict, r = pq/(p-q)."""
-    spec = spec or DEFAULT_SPEC
-    r = _r_exponent(p, q)
-    if norm.rank_s == 0:
-        raise DomainError("rank-zero maps are handled by the exact constant-map branch")
-    profile = _build_profile(norm, q, norm.rank_s)
-
-    if profile.mode == CERTIFIED:
-        member = all(a < 1.0 for a in profile.a)
-        if not member:
-            return CarlesonReport(r, NormResult(math.inf, "closed_form", 0.0), False, CERTIFIED)
-        if profile.exact_factor and spec.allow_closed_form:
-            log_i = _closed_form_log_integral(profile, r)
-            return CarlesonReport(r, NormResult(math.exp(log_i / r), "closed_form", 0.0), True, CERTIFIED)
-        log_i = _quadrature_log_integral(profile, r, spec)
-        k = spec.resolve_nodes(profile.s)
-        log_i2 = _quadrature_log_integral(
-            profile, r, QuadSpec(nodes_per_axis=max(8, k // 2), allow_closed_form=spec.allow_closed_form)
-        )
-        value = math.exp(log_i / r)
-        err = max(abs(value - math.exp(log_i2 / r)), 1e-11 * (1.0 + value))
-        return CarlesonReport(r, NormResult(value, "quadrature", err), True, CERTIFIED)
-
-    member = _integral_evidence(profile, p, q, spec)
-    if not member:
-        return CarlesonReport(r, NormResult(math.inf, "quadrature", math.inf), False, NUMERIC_EVIDENCE)
-    log_i = _quadrature_log_integral(profile, r, spec)
-    value = math.exp(log_i / r)
-    return CarlesonReport(r, NormResult(value, "quadrature", 0.05 * value), True, NUMERIC_EVIDENCE)
-
-
-def _integral_evidence(profile: EllProfile, p: float, q: float, spec: QuadSpec) -> bool:
-    """Riemann-sum growth check of Integral ell^r over expanding balls."""
-    r = _r_exponent(p, q)
-    s = profile.s
-    g = {1: 61, 2: 25, 3: 11}.get(s, 9)
-    vals = []
-    for radius in (5.0, 8.0):
-        axis = np.linspace(-radius, radius, g)
-        cell = (axis[1] - axis[0]) ** (2 * s)
-        mesh = np.meshgrid(*([axis] * (2 * s)), indexing="ij")
-        flat = np.stack([m.ravel() for m in mesh], axis=-1)
-        pts = flat[:, :s] + 1j * flat[:, s:]
-        inside = np.sum(np.abs(pts) ** 2, axis=1) <= radius * radius
-        ell = ell_at_many(profile, pts[inside], spec)
-        vals.append(float(np.sum(ell**r)) * cell)
-    if vals[1] <= 0:
-        return True
-    growth = (vals[1] - vals[0]) / vals[1]
-    return growth < 1e-2
 
 
 # -- measure-side quadrature --------------------------------------------------
@@ -198,14 +36,10 @@ def _slice_norm_values(norm: Normalization, q: float, pts: np.ndarray, spec: Qua
         return np.abs(norm.psi_t.eval_many(pts))
     common = norm.psi_t.common_frequency()
     if common is not None and all(sum(t.power[s:]) == 0 for t in norm.psi_t.terms):
-        from .quad import _single_term_norm
-
         c = np.array(common, dtype=complex)
-        tail_const = _single_term_norm(1.0 + 0j, (0,) * (n - s), tuple(c[s:]), q)
+        tail_const = single_term_norm(1.0 + 0j, (0,) * (n - s), tuple(c[s:]), q)
         head = ExpPoly(s, tuple(Term(t.coeff, t.power[:s], tuple(c[:s])) for t in norm.psi_t.terms))
         return np.abs(head.eval_many(pts)) * tail_const
-    from .quad import slice_norm
-
     out = np.empty(pts.shape[0])
     small = QuadSpec(nodes_per_axis=max(10, min(16, spec.resolve_nodes(n - s))))
     for j in range(pts.shape[0]):
@@ -228,17 +62,10 @@ def _measure_quadrature(norm: Normalization, q: float, weight_fn, spec: QuadSpec
 
     fast = common is not None or s == norm.n
     k = spec.resolve_nodes(s) if fast else min(10, spec.resolve_nodes(s))
-    t_rule, wn = _gh_rule(k)
-    h = math.sqrt(2.0 / q)
-
     grids = []
     qweights = []
     for i in range(s):
-        xs = center[i].real + t_rule * h
-        ys = center[i].imag + t_rule * h
-        z = (xs[:, None] + 1j * ys[None, :]).ravel()
-        w = (wn[:, None] * wn[None, :]).ravel() * (2.0 / q)
-        qw = w * np.exp(-q * np.abs(z) ** 2 / 2.0) * (q / (2.0 * math.pi))
+        z, qw = coordinate_grid(complex(center[i]), q, k)
         grids.append(z)
         qweights.append(qw)
 

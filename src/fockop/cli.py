@@ -31,17 +31,7 @@ from .funcspace import AffineMap, ExpPoly, Term
 from .oracle import TruncationSpec, f2_matrix, rayleigh_sweep, truncated_essential_upper, truncated_norm
 from .quad import DEFAULT_SPEC, NormResult, QuadSpec
 from .verify import SUITE_NAMES, format_results, run_suites
-from .wco import (
-    UNBOUNDED,
-    WcoProblem,
-    classify,
-    ell_limsup,
-    ell_profile,
-    ell_sup,
-    essential_norm_bounds,
-    norm_bounds,
-    normalize,
-)
+from .wco import UNBOUNDED, Analysis, WcoProblem, analyze
 
 SCHEMA_VERSION = 1
 
@@ -249,29 +239,26 @@ def _report_base(command: str, loaded: LoadedProblem) -> dict:
     }
 
 
-def _classification_section(loaded: LoadedProblem) -> dict:
-    cls = classify(loaded.problem, loaded.quad)
+def _classification_section(an: Analysis) -> dict:
+    cls = an.classification
     return {"verdict": cls.verdict, "mode": cls.mode, "certificate": cls.certificate}
 
 
-def _ell_section(loaded: LoadedProblem) -> dict:
-    prob, spec = loaded.problem, loaded.quad
-    nz = normalize(prob)
-    if nz.rank_s == 0:
+def _ell_section(an: Analysis) -> dict:
+    if an.normalization.rank_s == 0:
         return {"available": False, "reason": "constant map: no head coordinates"}
-    prof = ell_profile(nz, prob.q)
-    out = {"available": True, "mode": prof.mode, "sup": _norm_result(ell_sup(prof, spec))}
+    out = {"available": True, "mode": an.profile.mode, "sup": _norm_result(an.ell_sup)}
     try:
-        out["limsup"] = _norm_result(ell_limsup(prof, spec))
+        out["limsup"] = _norm_result(an.ell_limsup)
     except DomainError as exc:
         out["limsup"] = {"available": False, "reason": str(exc)}
     return out
 
 
-def _bounds_section(loaded: LoadedProblem, verdict: str) -> dict:
-    if verdict == UNBOUNDED:
+def _bounds_section(an: Analysis) -> dict:
+    if an.classification.verdict == UNBOUNDED:
         return {"available": False, "reason": "operator is unbounded"}
-    nb = norm_bounds(loaded.problem, loaded.quad)
+    nb = an.norm_bounds
     return {
         "available": True,
         "lower": _extended(nb.lower),
@@ -284,27 +271,27 @@ def _bounds_section(loaded: LoadedProblem, verdict: str) -> dict:
 
 def cmd_classify(loaded: LoadedProblem) -> dict:
     report = _report_base("classify", loaded)
-    report["classification"] = _classification_section(loaded)
+    report["classification"] = _classification_section(analyze(loaded.problem, loaded.quad))
     return report
 
 
 def cmd_bounds(loaded: LoadedProblem) -> dict:
+    an = analyze(loaded.problem, loaded.quad)
     report = _report_base("bounds", loaded)
-    section = _classification_section(loaded)
-    report["classification"] = section
-    report["norm_bounds"] = _bounds_section(loaded, section["verdict"])
-    report["ell"] = _ell_section(loaded)
+    report["classification"] = _classification_section(an)
+    report["norm_bounds"] = _bounds_section(an)
+    report["ell"] = _ell_section(an)
     return report
 
 
 def cmd_essnorm(loaded: LoadedProblem) -> dict:
     # UnsupportedExponentsError intentionally propagates: the caller maps it
     # to exit code 4 because this range has no two-sided essential bounds.
+    an = analyze(loaded.problem, loaded.quad)
     report = _report_base("essnorm", loaded)
-    section = _classification_section(loaded)
-    report["classification"] = section
+    report["classification"] = _classification_section(an)
     try:
-        nb = essential_norm_bounds(loaded.problem, loaded.quad)
+        nb = an.essential_norm_bounds
     except UnsupportedExponentsError:
         raise
     except DomainError as exc:
@@ -321,10 +308,11 @@ def cmd_essnorm(loaded: LoadedProblem) -> dict:
 
 
 def cmd_oracle(loaded: LoadedProblem, max_degree: int = 10) -> dict:
+    an = analyze(loaded.problem, loaded.quad)
     report = _report_base("oracle", loaded)
-    section = _classification_section(loaded)
+    section = _classification_section(an)
     report["classification"] = section
-    report["norm_bounds"] = _bounds_section(loaded, section["verdict"])
+    report["norm_bounds"] = _bounds_section(an)
 
     prob = loaded.problem
     tspec = TruncationSpec(max_degree=max_degree, quad=loaded.quad)

@@ -116,9 +116,6 @@ class ExpPoly:
         """Largest power of coordinate ``i`` appearing in any term."""
         return max((t.power[i] for t in self.terms), default=0)
 
-    def max_freq_modulus(self) -> float:
-        return max((abs(c) for t in self.terms for c in t.freq), default=0.0)
-
     def max_coeff_modulus(self) -> float:
         return max((abs(t.coeff) for t in self.terms), default=0.0)
 
@@ -230,10 +227,6 @@ class AffineMap:
 
     def apply(self, z: Sequence[complex]) -> np.ndarray:
         return self.A @ as_cvector(z, self.n) + self.b
-
-    def apply_many(self, points: np.ndarray) -> np.ndarray:
-        pts = np.asarray(points, dtype=complex)
-        return pts @ self.A.T + self.b
 
 
 # -- constructors ----------------------------------------------------------

@@ -23,7 +23,6 @@ __all__ = [
     "svd",
     "spectral_norm",
     "is_unitary",
-    "head_det_modulus",
 ]
 
 #: relative threshold below which a singular value is treated as exactly zero
@@ -174,13 +173,3 @@ def is_unitary(M, tol: float = 1e-10) -> bool:
     eye = np.eye(A.shape[0])
     return bool(np.max(np.abs(A @ A.conj().T - eye)) <= tol)
 
-
-def head_det_modulus(t: SvdTriple) -> float:
-    """Product of the nonzero singular values, i.e. |det| of the leading block.
-
-    Raises DomainError when the rank is zero (the product would be empty and
-    downstream formulas that divide by it are meaningless there).
-    """
-    if t.rank_s == 0:
-        raise DomainError("zero-rank factorization has no leading determinant")
-    return float(np.prod(t.sigma[: t.rank_s]))

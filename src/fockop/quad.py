@@ -14,12 +14,11 @@ cross-check mode.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
-from scipy import optimize
 from scipy.special import gamma, hyp1f1
 
 from .errors import DimensionError, DomainError
@@ -87,7 +86,7 @@ def _check_p(p: float) -> float:
 # -- closed forms -----------------------------------------------------------
 
 
-def _single_term_norm(coeff: complex, power: tuple[int, ...], freq: tuple[complex, ...], p: float) -> float:
+def single_term_norm(coeff: complex, power: tuple[int, ...], freq: tuple[complex, ...], p: float) -> float:
     """Exact norm of coeff * z^power * exp(<z, freq>).
 
     Per coordinate the integral is a Gaussian radial moment:
@@ -139,15 +138,20 @@ def _gh_rule(k: int) -> tuple[np.ndarray, np.ndarray]:
     return t, wn
 
 
-def _coordinate_grid(center: complex, p: float, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Complex nodes and bare product weights for one complex coordinate."""
+def coordinate_grid(center: complex, p: float, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Complex nodes and weights for one complex coordinate of the p-measure.
+
+    The weights fold in the measure prefactor (p/2pi), the Gaussian weight
+    exp(-p|z|^2/2) and the (2/p) substitution factor, so summing weight times
+    integrand approximates (p/2pi) Integral g(z) exp(-p|z|^2/2) dA(z).
+    """
     t, wn = _gh_rule(k)
     h = math.sqrt(2.0 / p)
     xs = center.real + t * h
     ys = center.imag + t * h
     z = (xs[:, None] + 1j * ys[None, :]).ravel()
     w = (wn[:, None] * wn[None, :]).ravel() * (2.0 / p)
-    return z, w
+    return z, w * np.exp(-p * (np.abs(z) ** 2) / 2.0) * (p / (2.0 * math.pi))
 
 
 def _gh_integral_norm(f: ExpPoly, p: float, k: int) -> float:
@@ -159,12 +163,9 @@ def _gh_integral_norm(f: ExpPoly, p: float, k: int) -> float:
     coords = []
     weights = []
     for i in range(n):
-        z, w = _coordinate_grid(complex(center[i]), p, k)
-        # fold the measure prefactor (p/2pi) and the Gaussian weight into the
-        # per-coordinate arrays; w already carries the (2/p) substitution factor
-        q = w * np.exp(-p * (np.abs(z) ** 2) / 2.0) * (p / (2.0 * math.pi))
+        z, w = coordinate_grid(complex(center[i]), p, k)
         coords.append(z)
-        weights.append(q)
+        weights.append(w)
 
     coeffs = np.array([t.coeff for t in f.terms], dtype=complex)
     factors = []
@@ -232,7 +233,7 @@ def fock_norm(f: ExpPoly, p: float, spec: QuadSpec | None = None) -> NormResult:
         raise DomainError(f"unknown quadrature method {spec.method!r}")
     if len(f.terms) == 1 and spec.allow_closed_form:
         t = f.terms[0]
-        return NormResult(_single_term_norm(t.coeff, t.power, t.freq, p), "closed_form", 0.0)
+        return NormResult(single_term_norm(t.coeff, t.power, t.freq, p), "closed_form", 0.0)
     k = spec.resolve_nodes(f.n)
     value = _gh_integral_norm(f, p, k)
     k2 = max(8, k // 2)
@@ -301,6 +302,8 @@ def fock_sup_norm(f: ExpPoly, spec: QuadSpec | None = None) -> NormResult:
 
     refined = best
     if spec.refine_iters > 0:
+        from scipy import optimize  # imported here: loading it dominates start-up time
+
         res = optimize.minimize(
             neg_log, x0, method="Nelder-Mead",
             options={"maxiter": 200 * spec.refine_iters, "xatol": 1e-10, "fatol": 1e-12},
@@ -328,7 +331,3 @@ def slice_norm(psi: ExpPoly, q: float, head: Sequence[complex], spec: QuadSpec |
         return NormResult(abs(psi.eval(h)), "closed_form", 0.0)
     return fock_norm(slice_head(psi, h), q, spec)
 
-
-def with_nodes(spec: QuadSpec | None, k: int) -> QuadSpec:
-    """Convenience copy-with-nodes used by callers that scale resolution."""
-    return replace(spec or DEFAULT_SPEC, nodes_per_axis=k)

@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .carleson import carleson_integral, berezin_transform, pullback_mass
+from .carleson import berezin_transform, carleson_integral, pullback_mass
 from .errors import DomainError
 from .funcspace import ExpPoly, Term, slice_head, slice_tail
 from .oracle import TruncationSpec, compactness_witness, f2_matrix, truncated_norm
@@ -32,15 +32,14 @@ from .wco import (
     CERTIFIED,
     COMPACT,
     UNBOUNDED,
+    Analysis,
     WcoProblem,
-    _build_profile,
-    _factor_argmax,
     alternative_normalization,
-    classify,
+    analyze,
     ell_limsup,
+    ell_profile,
     ell_sup,
-    norm_bounds,
-    normalize,
+    factor_argmax,
 )
 
 SUITE_NAMES = ("lemmas", "sandwich", "normalization-independence", "witness", "carleson")
@@ -222,11 +221,11 @@ def suite_sandwich(
         if not (prob.p == 2.0 and prob.q == 2.0):
             out.append(PropertyResult("sandwich", name, True, "skipped: needs p = q = 2"))
             continue
-        cls = classify(prob, spec)
-        if cls.verdict == UNBOUNDED:
+        an = analyze(prob, spec)
+        if an.classification.verdict == UNBOUNDED:
             out.append(PropertyResult("sandwich", name, True, "skipped: unbounded"))
             continue
-        nb = norm_bounds(prob, spec)
+        nb = an.norm_bounds
         tn = truncated_norm(f2_matrix(prob, TruncationSpec(max_degree=max_degree, quad=spec)))
         lo = nb.lower * (1.0 - 1e-3)
         hi = nb.upper * (1.0 + 1e-6)
@@ -250,7 +249,8 @@ def suite_normalization(
     out = []
     for label, prob in problems:
         name = f"factorization-invariance[{label}]"
-        nz = normalize(prob)
+        an = analyze(prob, spec)
+        nz = an.normalization
         if nz.rank_s == 0:
             out.append(PropertyResult("normalization-independence", name, True, "skipped: constant map"))
             continue
@@ -258,17 +258,16 @@ def suite_normalization(
             out.append(PropertyResult("normalization-independence", name, True, "skipped: expanding map"))
             continue
         alt = alternative_normalization(nz, seed=seed)
-        prof = _build_profile(nz, prob.q, nz.rank_s)
-        prof_alt = _build_profile(alt, prob.q, alt.rank_s)
-        certified = prof.mode == CERTIFIED and prof_alt.mode == CERTIFIED
+        prof_alt = ell_profile(alt, prob.q)
+        certified = an.profile.mode == CERTIFIED and prof_alt.mode == CERTIFIED
         tol = 1e-8 if certified else 1e-2
-        pairs = [("sup", ell_sup(prof, spec).value, ell_sup(prof_alt, spec).value)]
+        pairs = [("sup", an.ell_sup.value, ell_sup(prof_alt, spec).value)]
         if certified:
-            pairs.append(("limsup", ell_limsup(prof, spec).value, ell_limsup(prof_alt, spec).value))
+            pairs.append(("limsup", an.ell_limsup.value, ell_limsup(prof_alt, spec).value))
         if prob.q < prob.p:
             pairs.append((
                 "lr",
-                carleson_integral(nz, prob.p, prob.q, spec).lr_norm.value,
+                an.carleson.lr_norm.value,
                 carleson_integral(alt, prob.p, prob.q, spec).lr_norm.value,
             ))
         gap = 0.0
@@ -295,7 +294,7 @@ def suite_normalization(
 # -- witness suite: kernel rays see compactness ------------------------------
 
 
-def _escape_ray(prob: WcoProblem, spec: QuadSpec) -> tuple[np.ndarray, np.ndarray]:
+def _escape_ray(an: Analysis) -> tuple[np.ndarray, np.ndarray]:
     """A ray w(r) = base + r*d along which ||W k_w|| should not decay.
 
     Built in rotated coordinates: park every contracting coordinate at the
@@ -303,8 +302,7 @@ def _escape_ray(prob: WcoProblem, spec: QuadSpec) -> tuple[np.ndarray, np.ndarra
     symbol's matching frequency, then march off to infinity along the first
     unit singular direction.  Mapping back gives base and direction.
     """
-    nz = normalize(prob)
-    prof = _build_profile(nz, prob.q, nz.rank_s)
+    nz, prof = an.normalization, an.profile
     n, s = nz.n, prof.s
     zhat = np.zeros(n, dtype=complex)
     for i in range(s):
@@ -313,7 +311,7 @@ def _escape_ray(prob: WcoProblem, spec: QuadSpec) -> tuple[np.ndarray, np.ndarra
         wmod = abs(prof.w[i])
         if wmod == 0.0 and prof.deg[i] == 0:
             continue
-        rho = _factor_argmax(prof.a[i], wmod, prof.deg[i])
+        rho = factor_argmax(prof.a[i], wmod, prof.deg[i])
         phase = prof.w[i] / wmod if wmod > 0 else 1.0
         zhat[i] = rho * phase
     if prof.common_freq is not None:
@@ -334,7 +332,8 @@ def suite_witness(
     out = []
     for label, prob in problems:
         name = f"kernel-ray[{label}]"
-        cls = classify(prob, spec)
+        an = analyze(prob, spec)
+        cls = an.classification
         if cls.mode != CERTIFIED or cls.verdict == UNBOUNDED:
             out.append(PropertyResult("witness", name, True, f"skipped: {cls.verdict} ({cls.mode})"))
             continue
@@ -353,10 +352,8 @@ def suite_witness(
             ))
             continue
         # bounded, not compact: some ray must stay comparable to limsup ell
-        nz = normalize(prob)
-        prof = _build_profile(nz, prob.q, nz.rank_s)
-        limsup = ell_limsup(prof, spec).value
-        base, direction = _escape_ray(prob, spec)
+        limsup = an.ell_limsup.value
+        base, direction = _escape_ray(an)
         ray = compactness_witness(prob, radii=radii, directions=[direction], base=base, spec=spec)[0]
         floor = 0.5 * limsup
         low = min(ray.values)
@@ -383,15 +380,16 @@ def suite_carleson(
         if not (prob.q < prob.p):
             out.append(PropertyResult("carleson", name, True, "skipped: needs q < p"))
             continue
-        cls = classify(prob, spec)
-        if cls.verdict == UNBOUNDED and cls.mode == CERTIFIED and not admissible_spectrum(prob):
+        an = analyze(prob, spec)
+        cls = an.classification
+        if cls.verdict == UNBOUNDED and cls.mode == CERTIFIED and not an.admissibility.admissible:
             out.append(PropertyResult("carleson", name, True, "skipped: expanding map"))
             continue
-        nz = normalize(prob)
+        nz = an.normalization
         if nz.rank_s == 0:
             out.append(PropertyResult("carleson", name, True, "skipped: constant map"))
             continue
-        report = carleson_integral(nz, prob.p, prob.q, spec)
+        report = an.carleson
         checks = []
         agree = report.member == (cls.verdict == COMPACT) and cls.verdict != BOUNDED_NOT_COMPACT
         checks.append(("membership==compactness", agree, f"member={report.member}, verdict={cls.verdict}"))
@@ -412,12 +410,6 @@ def suite_carleson(
         ce = None if ok else {"label": label, "failed": [tag for tag, good, _ in checks if not good]}
         out.append(PropertyResult("carleson", name, ok, detail, ce))
     return out
-
-
-def admissible_spectrum(prob: WcoProblem) -> bool:
-    from .wco import admissibility
-
-    return admissibility(prob).admissible
 
 
 # -- runner -------------------------------------------------------------------

@@ -14,28 +14,32 @@ The analysis pipeline is:
 
      over the first s = rank(A) coordinates.  Boundedness (p <= q) is
      equivalent to sup ell < inf, compactness to ell -> 0, and for q < p to
-     ell being L^r integrable with r = pq/(p-q).
+     ell being L^r integrable with r = pq/(p-q); this module also computes
+     that L^r norm.
 
 For symbols whose terms share one exponential frequency the profile reduces
 per coordinate to  |z|^d * exp(((a^2-1)/2)|z|^2 + Re(z conj(w))), which gives
 certified finite/infinite and decay/no-decay decisions plus closed forms for
 single-term symbols.  Everything else is handled by numeric search and is
 reported as evidence, never as a certificate.
+
+``analyze`` runs the pipeline once per problem: its ``Analysis`` computes
+each step, the verdict and the bounds at most once, when first read.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass, field, replace
+from functools import cached_property
+from typing import Callable, Sequence
 
 import numpy as np
-from scipy import optimize
+from scipy.special import gamma, hyp1f1, logsumexp
 
 from .errors import DimensionError, DomainError, UnsupportedExponentsError
 from .funcspace import AffineMap, ExpPoly, Term, compose_affine
-from .linalg import SvdTriple, as_cvector, svd
-from .quad import DEFAULT_SPEC, NormResult, QuadSpec, fock_norm, slice_norm
-from .quad import _single_term_norm  # exact tail factor for profile constants
+from .linalg import as_cvector, svd
+from .quad import DEFAULT_SPEC, NormResult, QuadSpec, fock_norm, single_term_norm, slice_norm
 
 __all__ = [
     "WcoProblem",
@@ -44,12 +48,14 @@ __all__ = [
     "EllProfile",
     "Classification",
     "NormBounds",
+    "CarlesonReport",
+    "Analysis",
+    "analyze",
     "admissibility",
     "normalize",
     "normalize_pair",
     "alternative_normalization",
     "m_at",
-    "m_sup",
     "ell_profile",
     "ell_at",
     "ell_sup",
@@ -57,6 +63,7 @@ __all__ = [
     "classify",
     "norm_bounds",
     "essential_norm_bounds",
+    "carleson_integral",
     "composition_criterion",
 ]
 
@@ -172,6 +179,16 @@ class NormBounds:
     upper_is_up_to_universal_constant: bool
 
 
+@dataclass(frozen=True)
+class CarlesonReport:
+    """L^r summary of ell.  ``member`` is the integrability verdict."""
+
+    r_exponent: float
+    lr_norm: NormResult
+    member: bool
+    mode: str
+
+
 # -- admissibility and normalization ----------------------------------------
 
 
@@ -267,23 +284,6 @@ def m_at(psi: ExpPoly, phi: AffineMap, z: Sequence[complex]) -> float:
     return abs(psi.eval(zv)) * math.exp(expo)
 
 
-def m_sup(psi: ExpPoly, phi: AffineMap, spec: QuadSpec | None = None) -> NormResult:
-    """sup_z of m_at.  Infinite (certified) when the map expands.
-
-    Computed through the ell machinery with every coordinate treated as a
-    head coordinate, which is exactly m for the rotated pair and m is
-    rotation-invariant.
-    """
-    t = svd(phi.A)
-    if t.sigma[0] > 1.0:
-        # along a direction with |A zeta| > |zeta| the quadratic exponent wins
-        # over any exponential-polynomial symbol, so the sup is infinite
-        return NormResult(math.inf, "closed_form", 0.0)
-    norm = normalize_pair(psi, phi)
-    profile = _build_profile(norm, q=2.0, s=norm.n)
-    return ell_sup(profile, spec)
-
-
 # -- the ell profile ---------------------------------------------------------
 
 
@@ -293,13 +293,14 @@ def _tail_norm_exact(term: Term, s: int, q: float) -> float:
     freq = term.freq[s:]
     if not power:
         return 1.0
-    return _single_term_norm(1.0 + 0j, power, freq, q)
+    return single_term_norm(1.0 + 0j, power, freq, q)
 
 
-def _build_profile(norm: Normalization, q: float, s: int) -> EllProfile:
-    n = norm.n
-    if not 0 < s <= n:
-        raise DomainError(f"profile needs 1 <= s <= n, got s={s}")
+def ell_profile(norm: Normalization, q: float) -> EllProfile:
+    """Profile over the head coordinates (one per nonzero singular value)."""
+    s = norm.rank_s
+    if s == 0:
+        raise DomainError("rank-zero maps have no head coordinates; use the exact rank-0 branch")
     common = norm.psi_t.common_frequency()
     mode = CERTIFIED if common is not None else NUMERIC_EVIDENCE
     if common is not None:
@@ -335,13 +336,6 @@ def _build_profile(norm: Normalization, q: float, s: int) -> EllProfile:
     )
 
 
-def ell_profile(norm: Normalization, q: float) -> EllProfile:
-    """Profile over the head coordinates (one per nonzero singular value)."""
-    if norm.rank_s == 0:
-        raise DomainError("rank-zero maps have no head coordinates; use the exact rank-0 branch")
-    return _build_profile(norm, q, norm.rank_s)
-
-
 def _finite_flags(profile: EllProfile) -> list[bool]:
     flags = []
     for a, w, d in zip(profile.a, profile.w, profile.deg):
@@ -350,10 +344,6 @@ def _finite_flags(profile: EllProfile) -> list[bool]:
         else:
             flags.append(abs(w) <= DRIFT_TOL and d == 0)
     return flags
-
-
-def _certified_finite(profile: EllProfile) -> bool:
-    return all(_finite_flags(profile))
 
 
 def _factor_log_max(a: float, wmod: float, d: int) -> float:
@@ -367,7 +357,7 @@ def _factor_log_max(a: float, wmod: float, d: int) -> float:
     return d * math.log(rho) + wmod * rho - t * rho * rho
 
 
-def _factor_argmax(a: float, wmod: float, d: int) -> float:
+def factor_argmax(a: float, wmod: float, d: int) -> float:
     t = (1.0 - a * a) / 2.0
     if t <= 0.0:
         return 0.0
@@ -407,7 +397,7 @@ def ell_at_many(profile: EllProfile, points: np.ndarray, spec: QuadSpec | None =
         # |head polynomial| times a constant tail norm
         c = np.array(profile.common_freq, dtype=complex)
         tail_const = (
-            _single_term_norm(1.0 + 0j, (0,) * (norm.n - s), tuple(c[s:]), profile.q)
+            single_term_norm(1.0 + 0j, (0,) * (norm.n - s), tuple(c[s:]), profile.q)
             if s < norm.n
             else 1.0
         )
@@ -489,6 +479,8 @@ def _numeric_sup(profile: EllProfile, spec: QuadSpec, radii: list[float], active
             v = ell_at(profile, z, spec)
             return -math.log(v + 1e-300)
 
+        from scipy import optimize  # imported here: loading it dominates start-up time
+
         res = optimize.minimize(
             neg_log,
             x0,
@@ -512,7 +504,7 @@ def ell_sup(profile: EllProfile, spec: QuadSpec | None = None) -> NormResult:
     """
     spec = spec or DEFAULT_SPEC
     if profile.mode == CERTIFIED:
-        if not _certified_finite(profile):
+        if not all(_finite_flags(profile)):
             return NormResult(math.inf, "closed_form", 0.0)
         if profile.exact_factor:
             log_total = math.log(profile.constant_factor)
@@ -530,7 +522,7 @@ def ell_sup(profile: EllProfile, spec: QuadSpec | None = None) -> NormResult:
             if t <= 0:
                 radii.append(1.0)
             else:
-                rho = _factor_argmax(profile.a[i], abs(profile.w[i]), profile.deg[i])
+                rho = factor_argmax(profile.a[i], abs(profile.w[i]), profile.deg[i])
                 radii.append(min(rho + max(4.0, 5.0 / math.sqrt(2.0 * t)), 60.0))
         value, err, _ = _numeric_sup(profile, spec, radii, active)
         return NormResult(value, "quadrature", err)
@@ -545,16 +537,11 @@ def ell_sup(profile: EllProfile, spec: QuadSpec | None = None) -> NormResult:
     return NormResult(value, "quadrature", err)
 
 
-def ell_limsup(profile: EllProfile, spec: QuadSpec | None = None) -> NormResult:
-    """limsup of ell as the head point escapes to infinity (certified only).
-
-    With every a_i < 1 the profile decays to zero; with a unit singular value
-    present (finiteness then forces no drift and no polynomial factor there)
-    ell is constant along that coordinate, so the limsup equals the sup.
-    """
+def _limsup(profile: EllProfile, sup_of: Callable[[], NormResult]) -> NormResult:
+    """limsup of ell from its sup, which ``sup_of`` returns (certified only)."""
     if profile.mode != CERTIFIED:
         raise DomainError("limsup is only available with a certified profile")
-    sup = ell_sup(profile, spec)
+    sup = sup_of()
     if not math.isfinite(sup.value):
         return sup
     if all(a < 1.0 for a in profile.a):
@@ -562,7 +549,171 @@ def ell_limsup(profile: EllProfile, spec: QuadSpec | None = None) -> NormResult:
     return sup
 
 
-# -- classification ----------------------------------------------------------
+def ell_limsup(profile: EllProfile, spec: QuadSpec | None = None) -> NormResult:
+    """limsup of ell as the head point escapes to infinity (certified only).
+
+    With every a_i < 1 the profile decays to zero; with a unit singular value
+    present (finiteness then forces no drift and no polynomial factor there)
+    ell is constant along that coordinate, so the limsup equals the sup.
+    """
+    return _limsup(profile, lambda: ell_sup(profile, spec))
+
+
+# -- the L^r integral of ell (q < p) ------------------------------------------
+
+
+def _r_exponent(p: float, q: float) -> float:
+    if not (0 < q < p):
+        raise DomainError(f"this range needs 0 < q < p, got p={p}, q={q}")
+    return p * q / (p - q)
+
+
+def _closed_form_log_integral(profile: EllProfile, r: float) -> float:
+    """log of Integral ell^r dA for a single-term certified profile.
+
+    Per coordinate:
+        Integral |z|^(r d) exp(-r t |z|^2 + r Re(z conj(w))) dA
+      = 2 pi * Gamma(m/2+1) / (2 (r t)^(m/2+1)) * 1F1(m/2+1; 1; r|w|^2/(2(1-a^2)))
+    with m = r d and t = (1 - a^2)/2.
+    """
+    log_total = r * math.log(profile.constant_factor)
+    for a, w, d in zip(profile.a, profile.w, profile.deg):
+        t = (1.0 - a * a) / 2.0
+        if t <= 0.0:
+            return math.inf
+        m = r * d
+        x = r * (abs(w) ** 2) / (2.0 * (1.0 - a * a))
+        if d == 0:
+            log_i = math.log(math.pi / (r * t)) + x
+        else:
+            val = (
+                2.0
+                * math.pi
+                * gamma(m / 2.0 + 1.0)
+                / (2.0 * (r * t) ** (m / 2.0 + 1.0))
+                * hyp1f1(m / 2.0 + 1.0, 1.0, x)
+            )
+            log_i = math.log(val)
+        log_total += log_i
+    return log_total
+
+
+def _quadrature_log_integral(profile: EllProfile, r: float, spec: QuadSpec) -> float:
+    """Gauss-Hermite value of log Integral ell^r dA over C^s.
+
+    Each coordinate is integrated against its own Gaussian rate r*(1-a^2)/2
+    centered at the per-coordinate drift maximizer; the compensating
+    exponential is applied in log space.
+    """
+    s = profile.s
+    fast = (
+        profile.exact_factor
+        or (profile.mode == CERTIFIED and all(sum(t.power[s:]) == 0 for t in profile.normalization.psi_t.terms))
+        or s == profile.normalization.n
+    )
+    k = spec.resolve_nodes(s) if fast else min(10, spec.resolve_nodes(s))
+    t_rule, w_rule = np.polynomial.hermite.hermgauss(k)
+
+    axes_nodes = []
+    axes_logw = []
+    centers = []
+    rates = []
+    for i in range(s):
+        a = profile.a[i]
+        t_i = max((1.0 - a * a) / 2.0, 1e-6)
+        rate = r * t_i
+        c = profile.w[i] / (2.0 * t_i)
+        centers.append(c)
+        rates.append(rate)
+        h = 1.0 / math.sqrt(rate)
+        axes_nodes.append((c.real + t_rule * h, c.imag + t_rule * h))
+        # raw weights here: the recentering exponential is added back in log
+        # space below, so the e^{t^2} compensation must not be pre-applied
+        axes_logw.append(np.log(w_rule) - 0.5 * math.log(rate))
+
+    grids = []
+    for i in range(s):
+        xs, ys = axes_nodes[i]
+        grids.append((xs[:, None] + 1j * ys[None, :]).ravel())
+    logw2d = [(axes_logw[i][:, None] + axes_logw[i][None, :]).ravel() for i in range(s)]
+
+    mesh = np.meshgrid(*grids, indexing="ij")
+    pts = np.stack([m.ravel() for m in mesh], axis=-1)
+    logw = np.zeros(pts.shape[0])
+    shape = [g.shape[0] for g in grids]
+    for i in range(s):
+        reshaped = logw2d[i].reshape([1] * i + [shape[i]] + [1] * (s - 1 - i))
+        logw += np.broadcast_to(reshaped, shape).ravel()
+
+    vals = ell_at_many(profile, pts, spec)
+    with np.errstate(divide="ignore"):
+        logell = np.log(vals)
+    comp = np.zeros(pts.shape[0])
+    for i in range(s):
+        comp += rates[i] * np.abs(pts[:, i] - centers[i]) ** 2
+    return float(logsumexp(r * logell + comp + logw))
+
+
+def _integral_evidence(profile: EllProfile, r: float, spec: QuadSpec) -> bool:
+    """Riemann-sum growth check of Integral ell^r over expanding balls."""
+    s = profile.s
+    g = {1: 61, 2: 25, 3: 11}.get(s, 9)
+    vals = []
+    for radius in (5.0, 8.0):
+        axis = np.linspace(-radius, radius, g)
+        cell = (axis[1] - axis[0]) ** (2 * s)
+        mesh = np.meshgrid(*([axis] * (2 * s)), indexing="ij")
+        flat = np.stack([m.ravel() for m in mesh], axis=-1)
+        pts = flat[:, :s] + 1j * flat[:, s:]
+        inside = np.sum(np.abs(pts) ** 2, axis=1) <= radius * radius
+        ell = ell_at_many(profile, pts[inside], spec)
+        vals.append(float(np.sum(ell**r)) * cell)
+    if vals[1] <= 0:
+        return True
+    growth = (vals[1] - vals[0]) / vals[1]
+    return growth < 1e-2
+
+
+def _integrable(profile: EllProfile, r: float, spec: QuadSpec) -> bool:
+    """Whether ell is in L^r: exact when certified, a growth check otherwise."""
+    if profile.mode == CERTIFIED:
+        return all(a < 1.0 for a in profile.a)
+    return _integral_evidence(profile, r, spec)
+
+
+def _lr_report(profile: EllProfile, r: float, spec: QuadSpec, member: bool) -> CarlesonReport:
+    """||ell||_{L^r} of a profile whose membership verdict is ``member``."""
+    if profile.mode == CERTIFIED:
+        if not member:
+            return CarlesonReport(r, NormResult(math.inf, "closed_form", 0.0), False, CERTIFIED)
+        if profile.exact_factor and spec.allow_closed_form:
+            log_i = _closed_form_log_integral(profile, r)
+            return CarlesonReport(r, NormResult(math.exp(log_i / r), "closed_form", 0.0), True, CERTIFIED)
+        log_i = _quadrature_log_integral(profile, r, spec)
+        k = spec.resolve_nodes(profile.s)
+        log_i2 = _quadrature_log_integral(
+            profile, r, QuadSpec(nodes_per_axis=max(8, k // 2), allow_closed_form=spec.allow_closed_form)
+        )
+        value = math.exp(log_i / r)
+        err = max(abs(value - math.exp(log_i2 / r)), 1e-11 * (1.0 + value))
+        return CarlesonReport(r, NormResult(value, "quadrature", err), True, CERTIFIED)
+
+    if not member:
+        return CarlesonReport(r, NormResult(math.inf, "quadrature", math.inf), False, NUMERIC_EVIDENCE)
+    log_i = _quadrature_log_integral(profile, r, spec)
+    value = math.exp(log_i / r)
+    return CarlesonReport(r, NormResult(value, "quadrature", 0.05 * value), True, NUMERIC_EVIDENCE)
+
+
+def carleson_integral(norm: Normalization, p: float, q: float, spec: QuadSpec | None = None) -> CarlesonReport:
+    """||ell||_{L^r(C^s)} with the membership verdict, r = pq/(p-q)."""
+    spec = spec or DEFAULT_SPEC
+    r = _r_exponent(p, q)
+    profile = ell_profile(norm, q)
+    return _lr_report(profile, r, spec, _integrable(profile, r, spec))
+
+
+# -- classification and bounds -----------------------------------------------
 
 
 def _coordinate_lines(profile: EllProfile) -> list[str]:
@@ -572,66 +723,6 @@ def _coordinate_lines(profile: EllProfile) -> list[str]:
         note = f"coordinate {i}: a={a:.12g} (raw {raw[i]:.12g}), |w|={abs(w):.6g}, deg={d}"
         lines.append(note)
     return lines
-
-
-def classify(problem: WcoProblem, spec: QuadSpec | None = None) -> Classification:
-    """Decide unbounded / bounded-not-compact / compact."""
-    spec = spec or DEFAULT_SPEC
-    adm = admissibility(problem)
-    if not adm.admissible:
-        return Classification(UNBOUNDED, CERTIFIED, adm.reason)
-
-    norm = normalize(problem)
-    if norm.rank_s == 0:
-        cert = (
-            "constant map: W f = psi * f(b) has rank one, norm "
-            "exp(|b|^2/2) * ||psi||_q, and is compact"
-        )
-        return Classification(COMPACT, CERTIFIED, cert)
-
-    profile = _build_profile(norm, problem.q, norm.rank_s)
-    lines = _coordinate_lines(profile)
-
-    if problem.p <= problem.q:
-        if profile.mode == CERTIFIED:
-            flags = _finite_flags(profile)
-            if not all(flags):
-                bad = [i for i, ok in enumerate(flags) if not ok]
-                lines.append(
-                    f"sup of ell is infinite (unit singular value with drift or growth at {bad})"
-                )
-                return Classification(UNBOUNDED, CERTIFIED, "\n".join(lines))
-            if all(a < 1.0 for a in profile.a):
-                lines.append("all head singular values < 1: ell decays to zero")
-                return Classification(COMPACT, CERTIFIED, "\n".join(lines))
-            lines.append("bounded: sup ell finite; unit singular value keeps ell from decaying")
-            return Classification(BOUNDED_NOT_COMPACT, CERTIFIED, "\n".join(lines))
-        sup = ell_sup(profile, spec)
-        if not math.isfinite(sup.value):
-            lines.append("numeric search grew toward the boundary: treated as unbounded")
-            return Classification(UNBOUNDED, NUMERIC_EVIDENCE, "\n".join(lines))
-        decay = _numeric_decay_evidence(profile, spec, sup.value)
-        if decay:
-            lines.append("numeric search: ell small on the outer shell, evidence of compactness")
-            return Classification(COMPACT, NUMERIC_EVIDENCE, "\n".join(lines))
-        lines.append("numeric search: ell bounded but not decaying on the outer shell")
-        return Classification(BOUNDED_NOT_COMPACT, NUMERIC_EVIDENCE, "\n".join(lines))
-
-    # q < p: bounded, compact and integrability of ell^r all coincide
-    if profile.mode == CERTIFIED:
-        if all(a < 1.0 for a in profile.a):
-            lines.append("all head singular values < 1: ell^r integrable, operator compact")
-            return Classification(COMPACT, CERTIFIED, "\n".join(lines))
-        lines.append("unit singular value present: ell^r not integrable, operator unbounded")
-        return Classification(UNBOUNDED, CERTIFIED, "\n".join(lines))
-    from .carleson import _integral_evidence  # local import to avoid a cycle
-
-    converged = _integral_evidence(profile, problem.p, problem.q, spec)
-    if converged:
-        lines.append("numeric integral of ell^r converged: evidence of compactness")
-        return Classification(COMPACT, NUMERIC_EVIDENCE, "\n".join(lines))
-    lines.append("numeric integral of ell^r kept growing: evidence of unboundedness")
-    return Classification(UNBOUNDED, NUMERIC_EVIDENCE, "\n".join(lines))
 
 
 def _numeric_decay_evidence(profile: EllProfile, spec: QuadSpec, sup_value: float) -> bool:
@@ -647,77 +738,187 @@ def _numeric_decay_evidence(profile: EllProfile, spec: QuadSpec, sup_value: floa
     return bool(far.max() < 1e-3 * max(sup_value, 1e-300))
 
 
-# -- norm bounds -------------------------------------------------------------
-
-
 def _sandwich_factor(profile: EllProfile, p: float, q: float, n: int) -> float:
     det = float(np.prod(profile.a))
     return det ** (-2.0 / q) * (q / p) ** (n / q)
 
 
+class Analysis:
+    """Everything the decision rules derive for one problem.
+
+    Each attribute is computed when first read and then kept, so reading the
+    verdict, the bounds and the ell statistics of one ``Analysis`` normalizes
+    the problem once and searches for sup ell at most once.  Reading a
+    quantity the problem does not have (the profile of a rank-zero map, the
+    bounds of an unbounded operator, the L^r report when p <= q) raises
+    DomainError.
+    """
+
+    def __init__(self, problem: WcoProblem, spec: QuadSpec | None = None):
+        self.problem = problem
+        self.spec = spec or DEFAULT_SPEC
+
+    @cached_property
+    def admissibility(self) -> AdmissibilityReport:
+        return admissibility(self.problem)
+
+    @cached_property
+    def normalization(self) -> Normalization:
+        return normalize(self.problem)
+
+    @cached_property
+    def profile(self) -> EllProfile:
+        return ell_profile(self.normalization, self.problem.q)
+
+    @cached_property
+    def ell_sup(self) -> NormResult:
+        return ell_sup(self.profile, self.spec)
+
+    @cached_property
+    def ell_limsup(self) -> NormResult:
+        return _limsup(self.profile, lambda: self.ell_sup)
+
+    @cached_property
+    def integrable(self) -> bool:
+        """For q < p: whether ell is in L^r, which decides boundedness."""
+        return _integrable(self.profile, _r_exponent(self.problem.p, self.problem.q), self.spec)
+
+    @cached_property
+    def carleson(self) -> CarlesonReport:
+        r = _r_exponent(self.problem.p, self.problem.q)
+        return _lr_report(self.profile, r, self.spec, self.integrable)
+
+    @cached_property
+    def classification(self) -> Classification:
+        """unbounded / bounded-not-compact / compact, with its certificate."""
+        problem = self.problem
+        adm = self.admissibility
+        if not adm.admissible:
+            return Classification(UNBOUNDED, CERTIFIED, adm.reason)
+
+        if self.normalization.rank_s == 0:
+            cert = (
+                "constant map: W f = psi * f(b) has rank one, norm "
+                "exp(|b|^2/2) * ||psi||_q, and is compact"
+            )
+            return Classification(COMPACT, CERTIFIED, cert)
+
+        profile = self.profile
+        lines = _coordinate_lines(profile)
+
+        if problem.p <= problem.q:
+            if profile.mode == CERTIFIED:
+                flags = _finite_flags(profile)
+                if not all(flags):
+                    bad = [i for i, ok in enumerate(flags) if not ok]
+                    lines.append(
+                        f"sup of ell is infinite (unit singular value with drift or growth at {bad})"
+                    )
+                    return Classification(UNBOUNDED, CERTIFIED, "\n".join(lines))
+                if all(a < 1.0 for a in profile.a):
+                    lines.append("all head singular values < 1: ell decays to zero")
+                    return Classification(COMPACT, CERTIFIED, "\n".join(lines))
+                lines.append("bounded: sup ell finite; unit singular value keeps ell from decaying")
+                return Classification(BOUNDED_NOT_COMPACT, CERTIFIED, "\n".join(lines))
+            sup = self.ell_sup
+            if not math.isfinite(sup.value):
+                lines.append("numeric search grew toward the boundary: treated as unbounded")
+                return Classification(UNBOUNDED, NUMERIC_EVIDENCE, "\n".join(lines))
+            decay = _numeric_decay_evidence(profile, self.spec, sup.value)
+            if decay:
+                lines.append("numeric search: ell small on the outer shell, evidence of compactness")
+                return Classification(COMPACT, NUMERIC_EVIDENCE, "\n".join(lines))
+            lines.append("numeric search: ell bounded but not decaying on the outer shell")
+            return Classification(BOUNDED_NOT_COMPACT, NUMERIC_EVIDENCE, "\n".join(lines))
+
+        # q < p: bounded, compact and integrability of ell^r all coincide
+        if profile.mode == CERTIFIED:
+            if self.integrable:
+                lines.append("all head singular values < 1: ell^r integrable, operator compact")
+                return Classification(COMPACT, CERTIFIED, "\n".join(lines))
+            lines.append("unit singular value present: ell^r not integrable, operator unbounded")
+            return Classification(UNBOUNDED, CERTIFIED, "\n".join(lines))
+        if self.integrable:
+            lines.append("numeric integral of ell^r converged: evidence of compactness")
+            return Classification(COMPACT, NUMERIC_EVIDENCE, "\n".join(lines))
+        lines.append("numeric integral of ell^r kept growing: evidence of unboundedness")
+        return Classification(UNBOUNDED, NUMERIC_EVIDENCE, "\n".join(lines))
+
+    @cached_property
+    def norm_bounds(self) -> NormBounds:
+        """Two-sided operator norm bounds; exact for constant maps."""
+        problem = self.problem
+        cls = self.classification
+        if cls.verdict == UNBOUNDED:
+            raise DomainError("operator is unbounded; no finite norm bounds")
+
+        norm = self.normalization
+        if norm.rank_s == 0:
+            b_sq = float(np.sum(np.abs(problem.phi.b) ** 2))
+            val = math.exp(b_sq / 2.0) * fock_norm(problem.psi, problem.q, self.spec).value
+            return NormBounds(val, val, 0.0, 0.0, False)
+
+        profile = self.profile
+        p, q = problem.p, problem.q
+        if p <= q:
+            ell = self.ell_sup
+            upper = _sandwich_factor(profile, p, q, problem.n) * ell.value
+            ess_lo = ess_hi = None
+            if cls.verdict == COMPACT and cls.mode == CERTIFIED:
+                ess_lo = ess_hi = 0.0
+            elif cls.verdict == BOUNDED_NOT_COMPACT and cls.mode == CERTIFIED and p > 1.0:
+                limsup = self.ell_limsup
+                ess_lo = limsup.value
+                ess_hi = 2.0 * _sandwich_factor(profile, p, q, problem.n) * limsup.value
+            return NormBounds(ell.value, upper, ess_lo, ess_hi, False)
+
+        report = self.carleson
+        det = float(np.prod(profile.a))
+        b_tail_sq = float(np.sum(np.abs(norm.b_t[norm.rank_s :]) ** 2))
+        lower = det ** (2.0 * (p - q) / (p * q)) * math.exp(-b_tail_sq / 2.0) * report.lr_norm.value
+        upper = det ** (-2.0 / p) * report.lr_norm.value
+        ess = 0.0 if cls.mode == CERTIFIED else None
+        return NormBounds(lower, upper, ess, ess, True)
+
+    @cached_property
+    def essential_norm_bounds(self) -> NormBounds:
+        """Distance-to-compacts bounds; requires 1 < p <= q < inf."""
+        problem = self.problem
+        if not (1.0 < problem.p <= problem.q):
+            raise UnsupportedExponentsError(
+                f"essential norm bounds need 1 < p <= q < inf, got p={problem.p}, q={problem.q}"
+            )
+        cls = self.classification
+        if cls.verdict == UNBOUNDED:
+            raise DomainError("operator is unbounded; essential norm undefined")
+        nb = self.norm_bounds
+        if cls.verdict == COMPACT:
+            return replace(nb, essential_lower=0.0, essential_upper=0.0)
+        if cls.mode != CERTIFIED:
+            raise DomainError("essential bounds require a certified profile (common-frequency symbol)")
+        # certified, bounded and not compact with p > 1: norm_bounds already
+        # holds limsup ell and twice the sandwich factor times it
+        return nb
+
+
+def analyze(problem: WcoProblem, spec: QuadSpec | None = None) -> Analysis:
+    """One analysis of ``problem``: every quantity computed at most once, on first read."""
+    return Analysis(problem, spec)
+
+
+def classify(problem: WcoProblem, spec: QuadSpec | None = None) -> Classification:
+    """Decide unbounded / bounded-not-compact / compact."""
+    return analyze(problem, spec).classification
+
+
 def norm_bounds(problem: WcoProblem, spec: QuadSpec | None = None) -> NormBounds:
     """Two-sided operator norm bounds; exact for constant maps."""
-    spec = spec or DEFAULT_SPEC
-    cls = classify(problem, spec)
-    if cls.verdict == UNBOUNDED:
-        raise DomainError("operator is unbounded; no finite norm bounds")
-
-    norm = normalize(problem)
-    if norm.rank_s == 0:
-        b_sq = float(np.sum(np.abs(problem.phi.b) ** 2))
-        val = math.exp(b_sq / 2.0) * fock_norm(problem.psi, problem.q, spec).value
-        return NormBounds(val, val, 0.0, 0.0, False)
-
-    profile = _build_profile(norm, problem.q, norm.rank_s)
-
-    if problem.p <= problem.q:
-        ell = ell_sup(profile, spec)
-        upper = _sandwich_factor(profile, problem.p, problem.q, problem.n) * ell.value
-        ess_lo = ess_hi = None
-        if cls.verdict == COMPACT and cls.mode == CERTIFIED:
-            ess_lo = ess_hi = 0.0
-        elif (
-            cls.verdict == BOUNDED_NOT_COMPACT
-            and cls.mode == CERTIFIED
-            and problem.p > 1.0
-        ):
-            limsup = ell_limsup(profile, spec)
-            ess_lo = limsup.value
-            ess_hi = 2.0 * _sandwich_factor(profile, problem.p, problem.q, problem.n) * limsup.value
-        return NormBounds(ell.value, upper, ess_lo, ess_hi, False)
-
-    from .carleson import carleson_integral  # local import to avoid a cycle
-
-    report = carleson_integral(norm, problem.p, problem.q, spec)
-    det = float(np.prod(profile.a))
-    p, q = problem.p, problem.q
-    b_tail_sq = float(np.sum(np.abs(norm.b_t[norm.rank_s :]) ** 2))
-    lower = det ** (2.0 * (p - q) / (p * q)) * math.exp(-b_tail_sq / 2.0) * report.lr_norm.value
-    upper = det ** (-2.0 / p) * report.lr_norm.value
-    ess = 0.0 if cls.mode == CERTIFIED else None
-    return NormBounds(lower, upper, ess, ess, True)
+    return analyze(problem, spec).norm_bounds
 
 
 def essential_norm_bounds(problem: WcoProblem, spec: QuadSpec | None = None) -> NormBounds:
     """Distance-to-compacts bounds; requires 1 < p <= q < inf."""
-    spec = spec or DEFAULT_SPEC
-    if not (1.0 < problem.p <= problem.q):
-        raise UnsupportedExponentsError(
-            f"essential norm bounds need 1 < p <= q < inf, got p={problem.p}, q={problem.q}"
-        )
-    cls = classify(problem, spec)
-    if cls.verdict == UNBOUNDED:
-        raise DomainError("operator is unbounded; essential norm undefined")
-    nb = norm_bounds(problem, spec)
-    if cls.verdict == COMPACT:
-        return NormBounds(nb.lower, nb.upper, 0.0, 0.0, nb.upper_is_up_to_universal_constant)
-    if cls.mode != CERTIFIED:
-        raise DomainError("essential bounds require a certified profile (common-frequency symbol)")
-    norm = normalize(problem)
-    profile = _build_profile(norm, problem.q, norm.rank_s)
-    limsup = ell_limsup(profile, spec)
-    hi = 2.0 * _sandwich_factor(profile, problem.p, problem.q, problem.n) * limsup.value
-    return NormBounds(nb.lower, nb.upper, limsup.value, hi, nb.upper_is_up_to_universal_constant)
+    return analyze(problem, spec).essential_norm_bounds
 
 
 # -- unweighted composition maps --------------------------------------------

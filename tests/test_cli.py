@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from fockop import cli, wco
 from helpers import CORPUS_DIR, GOLDEN_DIR, corpus_path
 
 
@@ -162,3 +163,35 @@ def test_thread_cap_does_not_change_output(tmp_path):
     b = run_cli("verify", str(corpus_path("02_contraction")), "--suite", "sandwich", env=env1)
     assert a.stdout == b.stdout
     assert a.returncode == b.returncode == 0
+
+
+# -- each quantity once ----------------------------------------------------------
+
+
+def count_calls(monkeypatch, module, names):
+    """Wrap ``module.<name>`` for each name; returns the live call counts."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        original = getattr(module, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    return counts
+
+
+@pytest.mark.parametrize("command", ["bounds", "essnorm"])
+def test_report_normalizes_and_searches_once(monkeypatch, capsys, command):
+    counts = count_calls(monkeypatch, wco, ["_numeric_sup", "normalize_pair", "svd"])
+    assert cli.main([command, str(corpus_path("14_two_frequencies"))]) == 0
+    assert counts["_numeric_sup"] == 1
+    assert counts["normalize_pair"] == 1
+    assert counts["svd"] <= 2
+
+
+def test_certified_classify_runs_no_sup_search(monkeypatch, capsys):
+    counts = count_calls(monkeypatch, wco, ["ell_sup"])
+    assert cli.main(["classify", str(corpus_path("02_contraction"))]) == 0
+    assert counts["ell_sup"] == 0

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from fockop.errors import DimensionError, DomainError
-from fockop.linalg import head_det_modulus, is_unitary, spectral_norm, svd
+from fockop.errors import DimensionError
+from fockop.linalg import is_unitary, spectral_norm, svd
 
 
 def random_matrix(n, seed, scale=1.0):
@@ -49,14 +49,6 @@ def test_rank_tolerance_truncates_noise_sigma():
 def test_zero_matrix_has_rank_zero():
     t = svd(np.zeros((2, 2)))
     assert t.rank_s == 0
-    with pytest.raises(DomainError):
-        head_det_modulus(t)
-
-
-def test_head_det_is_product_of_leading_sigma():
-    assert head_det_modulus(svd(np.diag([0.5, 0.25]).astype(complex))) == pytest.approx(0.125)
-    # rank-deficient: only the nonzero block contributes
-    assert head_det_modulus(svd(np.diag([0.5, 0.0]).astype(complex))) == pytest.approx(0.5)
 
 
 def test_determinism_same_input_same_factors():

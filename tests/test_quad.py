@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from fockop.errors import DomainError
 from fockop.funcspace import constant, kernel, monomial, normalized_kernel
 from fockop.oracle import f2_norm
-from fockop.quad import QuadSpec, fock_norm, fock_sup_norm, slice_norm, with_nodes
+from fockop.quad import QuadSpec, fock_norm, fock_sup_norm, slice_norm
 from fockop.verify import random_symbol
 
 GH = QuadSpec(allow_closed_form=False)
@@ -52,7 +53,7 @@ def test_quadrature_error_estimate_covers_node_doubling():
     for _ in range(8):
         f = random_symbol(rng, 1)
         base = fock_norm(f, 2.5, GH)
-        fine = fock_norm(f, 2.5, with_nodes(GH, 80))
+        fine = fock_norm(f, 2.5, dataclasses.replace(GH, nodes_per_axis=80))
         assert abs(base.value - fine.value) <= base.err_estimate + 1e-12 * (1.0 + fine.value)
 
 

@@ -1,0 +1,103 @@
+"""Import structure of the fockop package.
+
+No module imports an underscore name from another fockop module, no function
+body imports a fockop module (a lazy import is how a cycle hides), and the
+imports between fockop modules form no cycle.
+"""
+import ast
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "fockop"
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+
+def _target(node) -> str | None:
+    """The fockop module an import names ("__init__" for the package), else None."""
+    if isinstance(node, ast.ImportFrom):
+        if node.level:
+            return node.module or "__init__"
+        names = [node.module or ""]
+    else:
+        names = [alias.name for alias in node.names]
+    for name in names:
+        if name == "fockop":
+            return "__init__"
+        if name.startswith("fockop."):
+            return name.split(".")[1]
+    return None
+
+
+def _fockop_imports(path: Path) -> list[tuple[ast.AST, str, bool]]:
+    """(import node, imported module, whether inside a function) for ``path``."""
+    found = []
+
+    def visit(node, in_function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.Import, ast.ImportFrom)):
+                target = _target(child)
+                if target is not None:
+                    found.append((child, target, in_function))
+            visit(child, in_function or isinstance(child, FUNCTIONS))
+
+    visit(ast.parse(path.read_text(), filename=str(path)), False)
+    return found
+
+
+MODULES = {path.stem: _fockop_imports(path) for path in sorted(SRC.glob("*.py"))}
+
+
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+@pytest.mark.parametrize("module", ["fockop.carleson", "fockop.wco"])
+def test_module_imports_in_fresh_interpreter(module):
+    r = subprocess.run([sys.executable, "-c", f"import {module}"], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+
+
+def test_no_private_names_cross_modules():
+    bad = [
+        f"{mod}.py:{node.lineno} imports {alias.name}"
+        for mod, imports in MODULES.items()
+        for node, _, _ in imports
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if _is_private(alias.name)
+    ]
+    assert not bad, bad
+
+
+def test_no_fockop_imports_inside_functions():
+    bad = [
+        f"{mod}.py:{node.lineno} imports {target} inside a function"
+        for mod, imports in MODULES.items()
+        for node, target, in_function in imports
+        if in_function
+    ]
+    assert not bad, bad
+
+
+def test_imports_between_modules_form_no_cycle():
+    edges = {mod: sorted({target for _, target, _ in imports}) for mod, imports in MODULES.items()}
+    done: set[str] = set()
+
+    def cycle_from(mod, path):
+        if mod in path:
+            return path[path.index(mod):] + [mod]
+        if mod in done:
+            return None
+        for nxt in edges.get(mod, []):
+            found = cycle_from(nxt, path + [mod])
+            if found:
+                return found
+        done.add(mod)
+        return None
+
+    for mod in edges:
+        cycle = cycle_from(mod, [])
+        assert cycle is None, " -> ".join(cycle)
