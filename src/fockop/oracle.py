@@ -1,10 +1,14 @@
 """Independent checks against truncated operator matrices on the p = 2 space.
 
 The monomials e_alpha = z^alpha / sqrt(alpha!) are an orthonormal basis of the
-p = 2 space, and inner products of exponential-polynomials against them have
-exact series expressions, so every matrix entry here is computed without any
-quadrature.  This gives an oracle for operator norms, essential norms and
-compactness that shares no code path with the quadrature engine.
+p = 2 space, and inner products of exponential-polynomials against them and
+against each other have finite closed forms, so every matrix entry, and every
+norm at p = 2, is computed here without any quadrature.  The Galerkin matrix is built
+from its own pairing tables and shares no code with the norm engine; the
+kernel-tail quotients use the exact inner product ``f2_inner``, which
+``fock_norm`` also uses at p = 2 and which the Gauss-Hermite path
+(``allow_closed_form=False``) cross-checks.  This gives an oracle for operator
+norms, essential norms and compactness.
 """
 from __future__ import annotations
 
@@ -13,6 +17,7 @@ from dataclasses import dataclass, field
 from itertools import combinations_with_replacement
 
 import numpy as np
+from scipy.special import gammainc
 
 from .errors import DimensionError, DomainError
 from .funcspace import (
@@ -24,7 +29,7 @@ from .funcspace import (
     multiply,
     normalized_kernel,
 )
-from .quad import DEFAULT_SPEC, QuadSpec, fock_norm
+from .quad import DEFAULT_SPEC, QuadSpec, f2_inner, fock_norm
 from .wco import WcoProblem
 
 __all__ = [
@@ -73,51 +78,8 @@ def basis_indices(n: int, max_degree: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _coord_series(g: int, d: int, c: complex, e: complex) -> complex:
-    """sum_{k >= max(g,d)} k! conj(c)^(k-g) e^(k-d) / ((k-g)! (k-d)!).
-
-    This is the one-variable inner product <z^g exp(z conj(c)), z^d exp(z conj(e))>
-    on the p=2 space; the series converges superexponentially.
-    """
-    k0 = max(g, d)
-    cc = complex(c).conjugate()
-    ee = complex(e)
-    term = complex(math.factorial(k0) / (math.factorial(k0 - g) * math.factorial(k0 - d)))
-    term *= cc ** (k0 - g) * ee ** (k0 - d)
-    total = term
-    k = k0
-    small = 0
-    while k - k0 < 700:
-        k += 1
-        term *= cc * ee * k / ((k - g) * (k - d))
-        total += term
-        if abs(term) <= 1e-18 * (abs(total) + 1e-30):
-            small += 1
-            if small >= 3:
-                break
-        else:
-            small = 0
-    return total
-
-
-def f2_inner(f: ExpPoly, g: ExpPoly) -> complex:
-    """Exact p=2 inner product <f, g> (antilinear in g)."""
-    if f.n != g.n:
-        raise DimensionError("inner product needs equal arity")
-    total = 0j
-    for c1, p1, w1 in f.terms:
-        for c2, p2, w2 in g.terms:
-            prod = c1 * complex(c2).conjugate()
-            for i in range(f.n):
-                prod *= _coord_series(p1[i], p2[i], w1[i], w2[i])
-                if prod == 0:
-                    break
-            total += prod
-    return total
-
-
 def f2_norm(f: ExpPoly) -> float:
-    """Exact p=2 norm via the series inner product."""
+    """Exact p=2 norm via the closed-form inner product ``f2_inner``."""
     v = f2_inner(f, f).real
     return math.sqrt(max(v, 0.0))
 
@@ -223,13 +185,15 @@ def truncated_essential_upper(problem: WcoProblem, spec: TruncationSpec | None =
             continue
         for d in _probe_directions(problem.n, spec.n_directions, spec.seed):
             w = r * d
-            g = _projected_kernel_tail(np.asarray(w, dtype=complex), N)
-            denom = f2_norm(g)
+            # ||(I - P_N) k_w||^2 = 1 - e^{-|w|^2} sum_{k <= N} |w|^(2k) / k!
+            #                    = P(N + 1, |w|^2), the regularized incomplete gamma
+            denom = math.sqrt(gammainc(N + 1, float(np.sum(np.abs(w) ** 2))))
             # The numerator subtracts two nearly equal entire functions, so in
             # double precision its absolute floor is ~1e-8; quotients against a
             # denominator near that floor measure round-off, not the operator.
             if denom < 1e-4:
                 continue
+            g = _projected_kernel_tail(np.asarray(w, dtype=complex), N)
             num = f2_norm(apply_wco(problem.psi, problem.phi, g))
             best = max(best, num / denom)
     return best

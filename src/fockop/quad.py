@@ -7,9 +7,12 @@
 and ``fock_sup_norm`` the weighted sup  sup_z |f(z)| exp(-|z|^2/2).
 
 Single-term symbols have exact closed forms (the integrals reduce to Gaussian
-radial moments); everything else goes through tensor-product Gauss-Hermite
-quadrature centered at the mean frequency, with an optional Monte Carlo
-cross-check mode.
+radial moments), and at p = 2 every symbol does: ``f2_inner`` is the exact
+inner product of the p = 2 space, a finite sum per coordinate.  Other
+exponents go through tensor-product Gauss-Hermite quadrature centered at the
+mean frequency, which also runs at p = 2 when ``allow_closed_form=False`` and
+serves there as the cross-check.  A Monte Carlo mode is kept for loose
+cross-checks.
 """
 from __future__ import annotations
 
@@ -25,7 +28,7 @@ from .errors import DimensionError, DomainError
 from .funcspace import ExpPoly, slice_head
 from .linalg import as_cvector
 
-__all__ = ["QuadSpec", "NormResult", "fock_norm", "fock_sup_norm", "slice_norm"]
+__all__ = ["QuadSpec", "NormResult", "f2_inner", "fock_norm", "fock_sup_norm", "slice_norm"]
 
 
 @dataclass(frozen=True)
@@ -65,9 +68,11 @@ DEFAULT_SPEC = QuadSpec()
 class NormResult:
     """A computed norm with its provenance.
 
-    ``mode`` is one of closed_form / quadrature / monte_carlo; closed-form
-    results carry err_estimate 0.  ``tail_radius`` records, for sup searches,
-    the radius beyond which the analytic tail bound rules out a larger value.
+    ``mode`` is one of closed_form / quadrature / monte_carlo.  Single-term
+    closed forms carry err_estimate 0; the p = 2 closed form of a multi-term
+    symbol carries a floating-point rounding bound.  ``tail_radius`` records,
+    for sup searches, the radius beyond which the analytic tail bound rules
+    out a larger value.
     """
 
     value: float
@@ -125,6 +130,101 @@ def _single_term_sup(coeff: complex, power: tuple[int, ...], freq: tuple[complex
         rho = (u + math.sqrt(u * u + 4.0 * a)) / 2.0
         log_total += (a * math.log(rho) if a else 0.0) + u * rho - rho * rho / 2.0
     return math.exp(log_total)
+
+
+# -- the exact p = 2 inner product -------------------------------------------
+
+#: largest number of term pairs ``f2_inner`` holds in memory at once
+_GRAM_BLOCK = 1 << 20
+_UNIT_ROUNDOFF = 2.0 ** -53
+
+
+@lru_cache(maxsize=8)
+def _pair_weights(top: int) -> tuple[np.ndarray, np.ndarray]:
+    """(j! for j <= top, binomials C(g, j) for g, j <= top) as floats."""
+    fact = np.array([float(math.factorial(j)) for j in range(top + 1)])
+    binom = np.array([[float(math.comb(g, j)) for j in range(top + 1)] for g in range(top + 1)])
+    return fact, binom
+
+
+def _distinct_pairs(terms, i: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Distinct (power, frequency) pairs of coordinate ``i`` and each term's row among them."""
+    rows: dict[tuple[int, complex], int] = {}
+    index = np.array([rows.setdefault((t.power[i], t.freq[i]), len(rows)) for t in terms])
+    powers = np.array([key[0] for key in rows])
+    freqs = np.array([key[1] for key in rows], dtype=complex)
+    return powers, freqs, index
+
+
+def _coordinate_table(gs: np.ndarray, cs: np.ndarray, ds: np.ndarray, es: np.ndarray) -> np.ndarray:
+    """<z^g e^{z conj(c)}, z^d e^{z conj(e)}> on the one-variable p = 2 space.
+
+    Because z^d e^{z conj(e)} is the d-th derivative in conj(e) of the
+    reproducing kernel at e, the pairing is the d-th derivative of
+    z^g e^{z conj(c)} at z = e:
+
+        e^{conj(c) e} * sum_{j <= min(g, d)} j! C(g, j) C(d, j) e^(g-j) conj(c)^(d-j),
+
+    a finite sum, for every pair of rows (g, c) and columns (d, e).
+    """
+    cb = np.conj(cs)
+    top_g, top_d = int(gs.max()), int(ds.max())
+    e_pow = np.vander(es, top_g + 1, increasing=True)  # e_pow[b, k] = e_b^k
+    c_pow = np.vander(cb, top_d + 1, increasing=True)  # c_pow[a, k] = conj(c_a)^k
+    total = e_pow[:, gs].T * c_pow[:, ds]  # the j = 0 term
+    if min(top_g, top_d) > 0:
+        fact, binom = _pair_weights(max(top_g, top_d))
+        for j in range(1, min(top_g, top_d) + 1):
+            weight = np.outer(fact[j] * binom[gs, j], binom[ds, j])
+            total += weight * e_pow[:, np.maximum(gs - j, 0)].T * c_pow[:, np.maximum(ds - j, 0)]
+    return np.exp(np.outer(cb, es)) * total
+
+
+def f2_inner(f: ExpPoly, g: ExpPoly) -> complex:
+    """Exact p = 2 inner product <f, g> (antilinear in g).
+
+    Per coordinate, the pairing table is built once over that coordinate's
+    distinct (power, frequency) pairs; the tables are gathered onto all term
+    pairs, multiplied across coordinates and contracted with the coefficients.
+    """
+    if f.n != g.n:
+        raise DimensionError("inner product needs equal arity")
+    if not f.terms or not g.terms:
+        return 0j
+    tables = []
+    for i in range(f.n):
+        gs, cs, rows = _distinct_pairs(f.terms, i)
+        ds, es, cols = _distinct_pairs(g.terms, i)
+        tables.append((_coordinate_table(gs, cs, ds, es), rows, cols))
+    cf = np.array([t.coeff for t in f.terms], dtype=complex)
+    cg = np.conj(np.array([t.coeff for t in g.terms], dtype=complex))
+    step = max(1, _GRAM_BLOCK // len(g.terms))
+    total = 0j
+    for lo in range(0, len(f.terms), step):
+        sl = slice(lo, lo + step)
+        block = math.prod(table[np.ix_(rows[sl], cols)] for table, rows, cols in tables)
+        total += complex(cf[sl] @ block @ cg)
+    return total
+
+
+def _f2_norm(f: ExpPoly) -> NormResult:
+    """Exact p = 2 norm of a multi-term symbol with a rounding bound.
+
+    Every sum and product in ``f2_inner`` has relative error at most
+    gamma_m = m u / (1 - m u) of the same sums taken in absolute value, with m
+    the longest chain of operations.  Those absolute sums are at most
+    (sum_a ||t_a||_2)^2 over the terms t_a: with every frequency replaced by
+    its modulus they become the Gram matrix of a positive kernel, which
+    Cauchy-Schwarz bounds by its diagonal.
+    """
+    square = f2_inner(f, f).real
+    chain = f.n * (2 * max(max(t.power) for t in f.terms) + 7) + 2 * len(f.terms) + 2
+    gamma_m = chain * _UNIT_ROUNDOFF / (1.0 - chain * _UNIT_ROUNDOFF)
+    delta = gamma_m * sum(single_term_norm(c, power, freq, 2.0) for c, power, freq in f.terms) ** 2
+    value = math.sqrt(max(square, 0.0))
+    # |sqrt(s) - sqrt(s')| <= min(|s - s'| / sqrt(s), sqrt(|s - s'|))
+    err = min(delta / value, math.sqrt(delta)) if value > 0 else math.sqrt(delta)
+    return NormResult(value, "closed_form", err)
 
 
 # -- Gauss-Hermite machinery --------------------------------------------------
@@ -222,7 +322,12 @@ def _monte_carlo_norm(f: ExpPoly, p: float, spec: QuadSpec) -> NormResult:
 
 
 def fock_norm(f: ExpPoly, p: float, spec: QuadSpec | None = None) -> NormResult:
-    """Gaussian-weighted L^p norm of an exact symbol."""
+    """Gaussian-weighted L^p norm of an exact symbol.
+
+    Exact for single terms at every p and for every symbol at p = 2; other
+    exponents, and every multi-term symbol when ``allow_closed_form=False``,
+    use Gauss-Hermite quadrature with a coarser rule as the error estimate.
+    """
     spec = spec or DEFAULT_SPEC
     p = _check_p(p)
     if f.is_zero():
@@ -234,6 +339,8 @@ def fock_norm(f: ExpPoly, p: float, spec: QuadSpec | None = None) -> NormResult:
     if len(f.terms) == 1 and spec.allow_closed_form:
         t = f.terms[0]
         return NormResult(single_term_norm(t.coeff, t.power, t.freq, p), "closed_form", 0.0)
+    if p == 2.0 and spec.allow_closed_form:
+        return _f2_norm(f)
     k = spec.resolve_nodes(f.n)
     value = _gh_integral_norm(f, p, k)
     k2 = max(8, k // 2)

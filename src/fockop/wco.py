@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.special import gamma, hyp1f1, logsumexp
@@ -60,6 +60,7 @@ __all__ = [
     "ell_at",
     "ell_sup",
     "ell_limsup",
+    "limsup_from_sup",
     "classify",
     "norm_bounds",
     "essential_norm_bounds",
@@ -537,11 +538,16 @@ def ell_sup(profile: EllProfile, spec: QuadSpec | None = None) -> NormResult:
     return NormResult(value, "quadrature", err)
 
 
-def _limsup(profile: EllProfile, sup_of: Callable[[], NormResult]) -> NormResult:
-    """limsup of ell from its sup, which ``sup_of`` returns (certified only)."""
+def limsup_from_sup(profile: EllProfile, sup: NormResult) -> NormResult:
+    """limsup of ell as the head point escapes to infinity, read from ``sup``, the sup of ell.
+
+    Certified profiles only.  With every a_i < 1 the profile decays to zero;
+    with a unit singular value present (finiteness then forces no drift and no
+    polynomial factor there) ell is constant along that coordinate, so the
+    limsup equals the sup.
+    """
     if profile.mode != CERTIFIED:
         raise DomainError("limsup is only available with a certified profile")
-    sup = sup_of()
     if not math.isfinite(sup.value):
         return sup
     if all(a < 1.0 for a in profile.a):
@@ -550,13 +556,8 @@ def _limsup(profile: EllProfile, sup_of: Callable[[], NormResult]) -> NormResult
 
 
 def ell_limsup(profile: EllProfile, spec: QuadSpec | None = None) -> NormResult:
-    """limsup of ell as the head point escapes to infinity (certified only).
-
-    With every a_i < 1 the profile decays to zero; with a unit singular value
-    present (finiteness then forces no drift and no polynomial factor there)
-    ell is constant along that coordinate, so the limsup equals the sup.
-    """
-    return _limsup(profile, lambda: ell_sup(profile, spec))
+    """limsup of ell (certified only); see ``limsup_from_sup``."""
+    return limsup_from_sup(profile, ell_sup(profile, spec))
 
 
 # -- the L^r integral of ell (q < p) ------------------------------------------
@@ -776,7 +777,7 @@ class Analysis:
 
     @cached_property
     def ell_limsup(self) -> NormResult:
-        return _limsup(self.profile, lambda: self.ell_sup)
+        return limsup_from_sup(self.profile, self.ell_sup)
 
     @cached_property
     def integrable(self) -> bool:

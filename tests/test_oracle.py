@@ -3,7 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from scipy.special import gammainc
+
 import fockop as fk
+from fockop import cli, oracle, quad
 from fockop.funcspace import AffineMap
 from fockop.oracle import (
     basis_indices,
@@ -15,6 +18,8 @@ from fockop.oracle import (
     truncated_essential_upper,
     truncated_norm,
 )
+
+from helpers import corpus_path
 
 
 def cop(a, b=0.0, p=2.0, q=2.0):
@@ -111,3 +116,26 @@ def test_witness_rays_decay_for_compact_map():
 def test_witness_rays_persist_for_identity():
     rays = compactness_witness(cop(1.0))
     assert any(min(ray.values) > 0.5 for ray in rays)
+
+
+@pytest.mark.parametrize("N", [4, 12])
+@pytest.mark.parametrize("radius", [2.0, 4.0, 8.0])
+def test_kernel_tail_norm_is_regularized_incomplete_gamma(N, radius):
+    # ||(I - P_N) k_w||^2 = P(N + 1, |w|^2): the closed form the essential
+    # estimate divides by, against the Gram kernel on the 1 + |basis| term symbol
+    w = radius * np.array([0.6, 0.8j])
+    tail = oracle._projected_kernel_tail(w, N)
+    exact = gammainc(N + 1, radius**2)
+    assert f2_norm(tail) ** 2 == pytest.approx(exact, rel=1e-10)
+    # the sum cancels; the closed-form norm's rounding bound covers what is lost
+    res = quad.fock_norm(tail, 2.0)
+    assert res.mode == "closed_form" and res.err_estimate > 0.0
+    assert abs(res.value - math.sqrt(exact)) <= res.err_estimate
+
+
+def test_oracle_runs_no_quadrature(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("Gauss-Hermite integral called")
+
+    monkeypatch.setattr(quad, "_gh_integral_norm", refuse)
+    assert cli.main(["oracle", str(corpus_path("13_rank_deficient_n3"))]) == 0

@@ -4,10 +4,11 @@ import math
 import numpy as np
 import pytest
 
+from fockop import quad
 from fockop.errors import DomainError
-from fockop.funcspace import constant, kernel, monomial, normalized_kernel
+from fockop.funcspace import ExpPoly, Term, constant, kernel, monomial, normalized_kernel
 from fockop.oracle import f2_norm
-from fockop.quad import QuadSpec, fock_norm, fock_sup_norm, slice_norm
+from fockop.quad import QuadSpec, f2_inner, fock_norm, fock_sup_norm, slice_norm
 from fockop.verify import random_symbol
 
 GH = QuadSpec(allow_closed_form=False)
@@ -115,3 +116,66 @@ def test_norm_result_reports_method():
     assert closed.err_estimate == 0.0
     assert grid.mode == "quadrature"
     assert grid.err_estimate > 0.0
+
+
+def _series_pairing(g, d, c, e):
+    """<z^g e^{z conj(c)}, z^d e^{z conj(e)}> from the monomial expansion, at 50 digits."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        cb, e = mpmath.conj(mpmath.mpc(c)), mpmath.mpc(e)
+        total = mpmath.mpc(0)
+        for k in range(max(g, d), 600):
+            total += (
+                mpmath.factorial(k) * cb ** (k - g) * e ** (k - d)
+                / (mpmath.factorial(k - g) * mpmath.factorial(k - d))
+            )
+        return complex(total)
+
+
+@pytest.mark.parametrize(
+    "g, d, c, e",
+    [
+        (0, 0, 0.3 + 0.2j, -1.1 + 0.4j),
+        (2, 3, 1.2 - 0.7j, 0.9 + 1.3j),
+        (4, 1, -0.6 + 0.0j, 0.0j),
+        (0, 5, 0.0j, 2.1 - 0.3j),
+        # conj(c) e close to -14: the monomial series cancels by e^28 here
+        (0, 0, 3.7 + 0.3j, -3.77 + 0.31j),
+        (3, 3, 3.7 + 0.3j, -3.77 + 0.31j),
+        (6, 2, 3.7 + 0.3j, -3.77 + 0.31j),
+    ],
+)
+def test_single_pairing_matches_high_precision(g, d, c, e):
+    f = ExpPoly(1, (Term(1.0, (g,), (c,)),))
+    h = ExpPoly(1, (Term(1.0, (d,), (e,)),))
+    want = _series_pairing(g, d, c, e)
+    assert abs(f2_inner(f, h) - want) <= 1e-12 * abs(want)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_p2_closed_form_matches_gauss_hermite(n):
+    rng = np.random.default_rng(30 + n)
+    checked = 0
+    while checked < 12:
+        f = random_symbol(rng, n)
+        if len(f.terms) < 2:
+            continue
+        exact = fock_norm(f, 2.0)
+        grid = fock_norm(f, 2.0, GH)
+        assert exact.mode == "closed_form" and grid.mode == "quadrature"
+        assert 0.0 < exact.err_estimate <= 1e-12 * exact.value
+        assert abs(exact.value - grid.value) <= grid.err_estimate
+        checked += 1
+
+
+def test_p2_norm_runs_no_quadrature(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("Gauss-Hermite integral called")
+
+    monkeypatch.setattr(quad, "_gh_integral_norm", refuse)
+    pair = normalized_kernel([1.3]) + normalized_kernel([-1.3])
+    assert fock_norm(pair, 2.0).value == pytest.approx(
+        math.sqrt(2.0 + 2.0 * math.exp(-2.0 * 1.3**2)), rel=1e-14
+    )
+    with pytest.raises(AssertionError, match="Gauss-Hermite"):
+        fock_norm(pair, 2.0, GH)

@@ -5,6 +5,7 @@ body imports a fockop module (a lazy import is how a cycle hides), and the
 imports between fockop modules form no cycle.
 """
 import ast
+import importlib
 import subprocess
 import sys
 from pathlib import Path
@@ -101,3 +102,22 @@ def test_imports_between_modules_form_no_cycle():
     for mod in edges:
         cycle = cycle_from(mod, [])
         assert cycle is None, " -> ".join(cycle)
+
+
+def test_traced_names_resolve_on_the_package():
+    """Every (module, function) the benchmark's tracer wraps exists in fockop."""
+    tracing = SRC.parent.parent / "perfbench" / "tracing.py"
+    tree = ast.parse(tracing.read_text(), filename=str(tracing))
+    targets = next(
+        node.value
+        for node in tree.body
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "TARGETS" for t in node.targets)
+    )
+    names = [(elt.elts[0].value, elt.elts[1].value) for elt in targets.elts]
+    assert names
+    missing = [
+        f"{module}.{function}"
+        for module, function in names
+        if not callable(getattr(importlib.import_module(f"fockop.{module}"), function, None))
+    ]
+    assert not missing, missing

@@ -68,3 +68,23 @@ def test_suites_pass_on_shipped_examples():
 def test_unknown_suite_rejected():
     with pytest.raises(Exception):
         run_suites([("x", WcoProblem(constant(1), AffineMap([[0.5]], [0.0]), 2, 2))], suite="nonsense")
+
+
+def test_normalization_suite_searches_each_factorization_once(monkeypatch):
+    from fockop import verify, wco
+
+    calls = []
+    original = wco.ell_sup
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for module in (wco, verify):
+        monkeypatch.setattr(module, "ell_sup", counted)
+    results = run_suites(corpus_problems(), suite="normalization-independence")
+    checked = [r for r in results if not r.detail.startswith("skipped")]
+    assert checked and all(r.passed for r in results)
+    # one search on the analysis side and one on the alternative factorization;
+    # the limsup is read from the alternative sup, not searched again
+    assert len(calls) == 2 * len(checked)
