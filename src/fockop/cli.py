@@ -460,7 +460,8 @@ def main(argv=None) -> int:
                         }
                         for r in results
                     ],
-                    "passed": sum(r.passed for r in results),
+                    "passed": sum(r.passed and not r.skipped for r in results),
+                    "skipped": sum(r.skipped for r in results),
                     "failed": sum(not r.passed for r in results),
                 }
                 sys.stdout.write(render_json(payload))

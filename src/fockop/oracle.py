@@ -9,6 +9,16 @@ kernel-tail quotients use the exact inner product ``f2_inner``, which
 ``fock_norm`` also uses at p = 2 and which the Gauss-Hermite path
 (``allow_closed_form=False``) cross-checks.  This gives an oracle for operator
 norms, essential norms and compactness.
+
+The kernel-tail images need no symbol algebra beyond one product with psi:
+with v = A* w and beta = <b, w>,
+
+    W (I - P_N) k_w = e^{-|w|^2/2} psi (e^beta e^{<z, v>}
+                      - sum_{|gamma| <= N} conj(v)^gamma / gamma! e_{N - |gamma|}(beta) z^gamma),
+
+where e_m(beta) = sum_{i <= m} beta^i / i! is the exponential's Taylor cut.
+A probe counts as (||image|| - its rounding bound) / ||(I - P_N) k_w||, which
+stays below the exact quotient, so no probe inflates the estimate.
 """
 from __future__ import annotations
 
@@ -136,10 +146,20 @@ def f2_matrix(problem: WcoProblem, spec: TruncationSpec | None = None) -> np.nda
 
 
 def truncated_norm(matrix: np.ndarray) -> float:
-    """Largest singular value of a truncated matrix."""
+    """Largest singular value of a truncated matrix (0 for an empty one).
+
+    sigma_max^2 is the top eigenvalue of the smaller Gram matrix M^H M or
+    M M^H, which a symmetric eigensolver finds to a relative error of order
+    the unit roundoff times the Gram dimension, without a full SVD.
+    """
     if matrix.ndim != 2:
         raise DimensionError("expected a 2-d matrix")
-    return float(np.linalg.svd(matrix, compute_uv=False)[0])
+    if matrix.size == 0:
+        return 0.0
+    if matrix.shape[0] < matrix.shape[1]:
+        matrix = matrix.conj().T
+    top = np.linalg.eigvalsh(matrix.conj().T @ matrix)[-1]
+    return math.sqrt(max(float(top), 0.0))
 
 
 def _probe_directions(n: int, count: int, seed: int) -> list[np.ndarray]:
@@ -151,16 +171,21 @@ def _probe_directions(n: int, count: int, seed: int) -> list[np.ndarray]:
     return dirs
 
 
-def _projected_kernel_tail(w: np.ndarray, max_degree: int) -> ExpPoly:
-    """(I - P_N) k_w as an exact symbol: k_w minus its Taylor cut."""
-    n = w.shape[0]
+def _kernel_tail_image(problem: WcoProblem, w: np.ndarray, low: np.ndarray) -> ExpPoly:
+    """W (I - P_N) k_w by the multinomial closed form; ``low`` holds the |gamma| <= N."""
+    n = problem.n
+    degree = low.sum(axis=1)
+    N = int(degree.max())
+    v = problem.phi.A.conj().T @ w
+    beta = complex(np.sum(problem.phi.b * np.conj(w)))
     scale = math.exp(-0.5 * float(np.sum(np.abs(w) ** 2)))
-    terms = [Term(scale + 0j, (0,) * n, tuple(w))]
-    for alpha in basis_indices(n, max_degree):
-        c = scale * math.prod(complex(x).conjugate() ** a for x, a in zip(w, alpha))
-        c /= math.prod(math.factorial(a) for a in alpha)
-        terms.append(Term(-c, tuple(alpha), (0j,) * n))
-    return ExpPoly(n, tuple(terms))
+    fact = np.array([float(math.factorial(k)) for k in range(N + 1)])
+    partial = np.cumsum(beta ** np.arange(N + 1) / fact)  # e_m(beta) for m <= N
+    coeffs = np.prod(np.conj(v) ** low, axis=1) / np.prod(fact[low], axis=1)
+    coeffs *= -scale * partial[N - degree]
+    terms = [Term(scale * complex(np.exp(beta)), (0,) * n, tuple(v))]
+    terms += [Term(c, tuple(g), (0j,) * n) for c, g in zip(coeffs.tolist(), low.tolist())]
+    return multiply(problem.psi, ExpPoly(n, tuple(terms)))
 
 
 def truncated_essential_upper(problem: WcoProblem, spec: TruncationSpec | None = None) -> float:
@@ -168,18 +193,26 @@ def truncated_essential_upper(problem: WcoProblem, spec: TruncationSpec | None =
 
     Two exact probes, both bounded above by the true restricted norm:
     the matrix block with low-degree columns removed, and Rayleigh quotients
-    on kernel tails (I - P_N) k_w for far points w.
+    on kernel tails (I - P_N) k_w for far points w.  With v = A* w and
+    beta = <b, w>, the multinomial theorem gives (P_N K_w)(A z + b) =
+    sum_{k <= N} (<z, v> + beta)^k / k!, so each tail image is
+
+        e^{-|w|^2/2} psi (e^beta e^{<z, v>}
+                          - sum_{|gamma| <= N} conj(v)^gamma / gamma! e_{N - |gamma|}(beta) z^gamma),
+
+    with e_m(beta) = sum_{i <= m} beta^i / i!.  A probe counts as
+    (||image|| - its closed-form rounding bound) / sqrt(P(N + 1, |w|^2)), so a
+    numerator at its cancellation floor stays below the exact quotient.
     """
     spec = spec or TruncationSpec()
     if not (problem.p == 2.0 and problem.q == 2.0):
         raise DomainError("the matrix oracle works on the p = q = 2 space")
     N = spec.max_degree
     big = basis_indices(problem.n, N + spec.margin)
-    M = _matrix_block(problem, big, big)
-    keep = np.array([sum(a) > N for a in big])
-    tail_block = M[:, keep]
-    best = truncated_norm(tail_block) if tail_block.shape[1] else 0.0
+    high = [a for a in big if sum(a) > N]
+    best = truncated_norm(_matrix_block(problem, high, big))
 
+    low = np.array([a for a in big if sum(a) <= N], dtype=int)
     for r in spec.kernel_radii:
         if r == 0:
             continue
@@ -188,14 +221,10 @@ def truncated_essential_upper(problem: WcoProblem, spec: TruncationSpec | None =
             # ||(I - P_N) k_w||^2 = 1 - e^{-|w|^2} sum_{k <= N} |w|^(2k) / k!
             #                    = P(N + 1, |w|^2), the regularized incomplete gamma
             denom = math.sqrt(gammainc(N + 1, float(np.sum(np.abs(w) ** 2))))
-            # The numerator subtracts two nearly equal entire functions, so in
-            # double precision its absolute floor is ~1e-8; quotients against a
-            # denominator near that floor measure round-off, not the operator.
-            if denom < 1e-4:
+            if denom == 0.0:
                 continue
-            g = _projected_kernel_tail(np.asarray(w, dtype=complex), N)
-            num = f2_norm(apply_wco(problem.psi, problem.phi, g))
-            best = max(best, num / denom)
+            num = fock_norm(_kernel_tail_image(problem, w, low), 2.0)
+            best = max(best, (num.value - num.err_estimate) / denom)
     return best
 
 

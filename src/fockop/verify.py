@@ -44,6 +44,9 @@ from .wco import (
 
 SUITE_NAMES = ("lemmas", "sandwich", "normalization-independence", "witness", "carleson")
 
+#: detail prefix of a record whose check does not apply to the problem
+_SKIPPED = "skipped: "
+
 
 @dataclass(frozen=True)
 class PropertyResult:
@@ -53,9 +56,18 @@ class PropertyResult:
     detail: str
     counterexample: dict | None = None
 
+    @property
+    def skipped(self) -> bool:
+        return self.detail.startswith(_SKIPPED)
+
     def line(self) -> str:
         tag = "PASS" if self.passed else "FAIL"
         return f"{tag} {self.suite}: {self.name} — {self.detail}"
+
+
+def _skip(suite: str, name: str, reason: str) -> PropertyResult:
+    """A record for a check that does not apply to the problem; it passes but did not run."""
+    return PropertyResult(suite, name, True, _SKIPPED + reason)
 
 
 def _fmt(x: float) -> str:
@@ -219,11 +231,11 @@ def suite_sandwich(
     for label, prob in problems:
         name = f"truncation-in-bounds[{label}]"
         if not (prob.p == 2.0 and prob.q == 2.0):
-            out.append(PropertyResult("sandwich", name, True, "skipped: needs p = q = 2"))
+            out.append(_skip("sandwich", name, "needs p = q = 2"))
             continue
         an = analyze(prob, spec)
         if an.classification.verdict == UNBOUNDED:
-            out.append(PropertyResult("sandwich", name, True, "skipped: unbounded"))
+            out.append(_skip("sandwich", name, "unbounded"))
             continue
         nb = an.norm_bounds
         tn = truncated_norm(f2_matrix(prob, TruncationSpec(max_degree=max_degree, quad=spec)))
@@ -252,10 +264,10 @@ def suite_normalization(
         an = analyze(prob, spec)
         nz = an.normalization
         if nz.rank_s == 0:
-            out.append(PropertyResult("normalization-independence", name, True, "skipped: constant map"))
+            out.append(_skip("normalization-independence", name, "constant map"))
             continue
         if float(nz.diag[0]) > 1.0:
-            out.append(PropertyResult("normalization-independence", name, True, "skipped: expanding map"))
+            out.append(_skip("normalization-independence", name, "expanding map"))
             continue
         alt = alternative_normalization(nz, seed=seed)
         prof_alt = ell_profile(alt, prob.q)
@@ -336,7 +348,7 @@ def suite_witness(
         an = analyze(prob, spec)
         cls = an.classification
         if cls.mode != CERTIFIED or cls.verdict == UNBOUNDED:
-            out.append(PropertyResult("witness", name, True, f"skipped: {cls.verdict} ({cls.mode})"))
+            out.append(_skip("witness", name, f"{cls.verdict} ({cls.mode})"))
             continue
         if cls.verdict == COMPACT:
             rng = np.random.default_rng(20260825)
@@ -379,16 +391,16 @@ def suite_carleson(
     for label, prob in problems:
         name = f"measure-dichotomy[{label}]"
         if not (prob.q < prob.p):
-            out.append(PropertyResult("carleson", name, True, "skipped: needs q < p"))
+            out.append(_skip("carleson", name, "needs q < p"))
             continue
         an = analyze(prob, spec)
         cls = an.classification
         if cls.verdict == UNBOUNDED and cls.mode == CERTIFIED and not an.admissibility.admissible:
-            out.append(PropertyResult("carleson", name, True, "skipped: expanding map"))
+            out.append(_skip("carleson", name, "expanding map"))
             continue
         nz = an.normalization
         if nz.rank_s == 0:
-            out.append(PropertyResult("carleson", name, True, "skipped: constant map"))
+            out.append(_skip("carleson", name, "constant map"))
             continue
         report = an.carleson
         checks = []
@@ -467,7 +479,8 @@ def run_suites(
 def format_results(results: Sequence[PropertyResult]) -> str:
     lines = [res.line() for res in results]
     failed = [res for res in results if not res.passed]
-    lines.append(f"{len(results) - len(failed)}/{len(results)} properties passed")
+    skipped = sum(res.skipped for res in results)
+    lines.append(f"{len(results) - len(failed) - skipped}/{len(results)} properties passed, {skipped} skipped")
     for res in failed:
         lines.append(f"counterexample {res.suite}/{res.name}: {res.counterexample!r}")
     return "\n".join(lines)

@@ -151,7 +151,20 @@ def test_verify_runs_all_suites_on_directory():
     assert r.returncode == 0, r.stdout + r.stderr
     tally = [ln for ln in r.stdout.splitlines() if "properties passed" in ln]
     assert len(tally) == 1
+    # checks that do not apply to a problem are counted apart from the passes
+    skips = [ln for ln in r.stdout.splitlines() if " — skipped: " in ln]
+    assert len(skips) == 26
+    assert tally == ["45/71 properties passed, 26 skipped"]
     assert not any(ln.startswith("FAIL") for ln in r.stdout.splitlines())
+
+
+def test_verify_json_counts_skipped_records(capsys):
+    assert cli.main(["verify", str(CORPUS_DIR), "--suite", "witness"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    skipped = [r for r in doc["results"] if r["detail"].startswith("skipped: ")]
+    assert (doc["passed"], doc["skipped"], doc["failed"]) == (13, 4, 0)
+    assert doc["skipped"] == len(skipped)
+    assert doc["passed"] + doc["skipped"] + doc["failed"] == len(doc["results"])
 
 
 def test_thread_cap_does_not_change_output(tmp_path):

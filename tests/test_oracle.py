@@ -82,8 +82,10 @@ def test_essential_upper_is_exact_tail_power_for_diagonal_contraction():
 
 
 def test_essential_upper_stays_at_one_for_identity():
+    # the r = 1 kernel-tail probe has ||(I - P_10) k_w|| = 1.0e-4, so a numerator
+    # at its cancellation floor would show here if it were not discounted
     eu = truncated_essential_upper(cop(1.0), fk.TruncationSpec(max_degree=10))
-    assert eu == pytest.approx(1.0, abs=1e-6)
+    assert abs(eu - 1.0) <= 1e-12
 
 
 def test_sweep_on_identity_all_unit_quotients():
@@ -118,19 +120,102 @@ def test_witness_rays_persist_for_identity():
     assert any(min(ray.values) > 0.5 for ray in rays)
 
 
+def _kernel_tail_symbol(w, N):
+    """(I - P_N) k_w term by term: k_w minus its Taylor cut, 1 + |basis| terms."""
+    n = len(w)
+    scale = math.exp(-0.5 * float(np.sum(np.abs(w) ** 2)))
+    terms = [fk.Term(scale + 0j, (0,) * n, tuple(w))]
+    for alpha in basis_indices(n, N):
+        c = scale * math.prod(complex(x).conjugate() ** a for x, a in zip(w, alpha))
+        c /= math.prod(math.factorial(a) for a in alpha)
+        terms.append(fk.Term(-c, tuple(alpha), (0j,) * n))
+    return fk.ExpPoly(n, tuple(terms))
+
+
 @pytest.mark.parametrize("N", [4, 12])
 @pytest.mark.parametrize("radius", [2.0, 4.0, 8.0])
 def test_kernel_tail_norm_is_regularized_incomplete_gamma(N, radius):
     # ||(I - P_N) k_w||^2 = P(N + 1, |w|^2): the closed form the essential
     # estimate divides by, against the Gram kernel on the 1 + |basis| term symbol
     w = radius * np.array([0.6, 0.8j])
-    tail = oracle._projected_kernel_tail(w, N)
+    tail = _kernel_tail_symbol(w, N)
     exact = gammainc(N + 1, radius**2)
     assert f2_norm(tail) ** 2 == pytest.approx(exact, rel=1e-10)
     # the sum cancels; the closed-form norm's rounding bound covers what is lost
     res = quad.fock_norm(tail, 2.0)
     assert res.mode == "closed_form" and res.err_estimate > 0.0
     assert abs(res.value - math.sqrt(exact)) <= res.err_estimate
+
+
+def _seeded_map(rng, n, rank, drift):
+    A = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    U, _, Vh = np.linalg.svd(A)
+    sigma = np.zeros(n)
+    sigma[:rank] = rng.uniform(0.3, 1.0, size=rank)
+    b = drift * (rng.normal(size=n) + 1j * rng.normal(size=n))
+    return AffineMap(U @ np.diag(sigma) @ Vh, b)
+
+
+@pytest.mark.parametrize(
+    "n, rank, drift, psi_terms",
+    [(1, 1, 0.0, 1), (1, 1, 0.4, 2), (1, 0, 0.7, 2), (2, 2, 0.3, 3), (2, 1, 0.5, 2), (3, 2, 0.4, 3), (3, 3, 0.0, 2)],
+)
+def test_kernel_tail_image_matches_symbol_algebra(n, rank, drift, psi_terms):
+    # the multinomial closed form against psi * ((I - P_N) k_w o phi) expanded term by term
+    rng = np.random.default_rng(100 * n + 10 * rank + psi_terms)
+    phi = _seeded_map(rng, n, rank, drift)
+    psi = fk.ExpPoly(n, tuple(
+        fk.Term(
+            complex(rng.normal(), rng.normal()),
+            tuple(int(k) for k in rng.integers(0, 2, size=n)),
+            tuple(0.3 * (rng.normal(size=n) + 1j * rng.normal(size=n))),
+        )
+        for _ in range(psi_terms)
+    ))
+    problem = fk.WcoProblem(psi, phi, 2.0, 2.0)
+    N = 6
+    low = np.array(basis_indices(n, N))
+    for radius in (1.0, 3.0):
+        w = rng.normal(size=n) + 1j * rng.normal(size=n)
+        w *= radius / np.linalg.norm(w)
+        closed = oracle._kernel_tail_image(problem, w, low)
+        expanded = fk.apply_wco(psi, phi, _kernel_tail_symbol(w, N))
+        assert closed.almost_equal(expanded, tol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "shape, rank",
+    [((7, 4), 4), ((4, 7), 4), ((6, 6), 6), ((8, 5), 2), ((5, 8), 3), ((5, 5), 0), ((6, 0), 0)],
+)
+def test_truncated_norm_is_top_singular_value(shape, rank):
+    rng = np.random.default_rng(shape[0] * 10 + shape[1] + rank)
+    m, k = shape
+    M = (rng.normal(size=(m, rank)) + 1j * rng.normal(size=(m, rank))) @ (
+        rng.normal(size=(rank, k)) + 1j * rng.normal(size=(rank, k))
+    )
+    sv = np.linalg.svd(M, compute_uv=False)
+    want = float(sv[0]) if sv.size else 0.0
+    assert abs(truncated_norm(M) - want) <= 1e-13 * want
+
+
+def test_essential_upper_reads_only_high_degree_columns(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("full SVD called")
+
+    calls = []
+    original = oracle.apply_wco
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+    monkeypatch.setattr(oracle, "apply_wco", counted)
+    loaded = cli.load_problem(corpus_path("13_rank_deficient_n3"))
+    spec = fk.TruncationSpec(max_degree=10)
+    assert truncated_essential_upper(loaded.problem, spec) > 0.0
+    # one Galerkin column per |alpha| in 11..16 on C^3, and no symbol algebra per probe
+    assert len(calls) == math.comb(16 + 3, 3) - math.comb(10 + 3, 3) == 683
 
 
 def test_oracle_runs_no_quadrature(monkeypatch, capsys):

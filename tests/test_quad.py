@@ -1,6 +1,7 @@
 import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -120,7 +121,6 @@ def test_norm_result_reports_method():
 
 def _series_pairing(g, d, c, e):
     """<z^g e^{z conj(c)}, z^d e^{z conj(e)}> from the monomial expansion, at 50 digits."""
-    mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(50):
         cb, e = mpmath.conj(mpmath.mpc(c)), mpmath.mpc(e)
         total = mpmath.mpc(0)
