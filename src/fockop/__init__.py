@@ -7,6 +7,8 @@ against independent truncated-matrix oracles.
 
 __version__ = "0.1.0"
 
+from types import ModuleType as _ModuleType
+
 from .errors import (
     DimensionError,
     DomainError,
@@ -71,4 +73,7 @@ from .oracle import (
 )
 from .verify import PropertyResult, format_results, random_symbol, run_suites
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the public names imported above; the submodules are reached as fockop.quad etc.
+__all__ = sorted(
+    name for name, value in globals().items() if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

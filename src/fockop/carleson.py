@@ -13,13 +13,14 @@ ell statistics and is re-exported here as ``carleson_integral``.
 from __future__ import annotations
 
 import math
+from functools import reduce
 
 import numpy as np
 
 from .errors import DomainError
 from .funcspace import AffineMap, ExpPoly, Term, compose_affine, multiply
 from .linalg import as_cvector
-from .quad import DEFAULT_SPEC, QuadSpec, coordinate_grid, fock_norm, single_term_norm, slice_norm
+from .quad import DEFAULT_SPEC, QuadSpec, coordinate_grid, fock_norm, grid_blocks, single_term_norm, slice_norm
 from .wco import CarlesonReport, Normalization, carleson_integral
 
 __all__ = ["CarlesonReport", "carleson_integral", "pullback_mass", "berezin_transform"]
@@ -69,20 +70,18 @@ def _measure_quadrature(norm: Normalization, q: float, weight_fn, spec: QuadSpec
         grids.append(z)
         qweights.append(qw)
 
-    mesh = np.meshgrid(*grids, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=-1)
-    wmesh = np.meshgrid(*qweights, indexing="ij")
-    wtot = np.ones(pts.shape[0])
-    for wm in wmesh:
-        wtot = wtot * wm.ravel()
-
-    img = pts * norm.diag[np.newaxis, :s] + norm.b_t[np.newaxis, :s]
-    weight_vals = weight_fn(img)
-    mask = weight_vals != 0.0
-    if not np.any(mask):
-        return 0.0
-    slice_vals = _slice_norm_values(norm, q, pts[mask], spec)
-    return float(np.sum(wtot[mask] * weight_vals[mask] * slice_vals**q))
+    total = 0.0
+    for rows in grid_blocks([len(z) for z in grids]):
+        mesh = np.meshgrid(grids[0][rows], *grids[1:], indexing="ij")
+        pts = np.stack([m.ravel() for m in mesh], axis=-1)
+        wtot = reduce(np.multiply.outer, [qweights[0][rows], *qweights[1:]]).ravel()
+        img = pts * norm.diag[np.newaxis, :s] + norm.b_t[np.newaxis, :s]
+        weight_vals = weight_fn(img)
+        mask = weight_vals != 0.0
+        if np.any(mask):
+            slice_vals = _slice_norm_values(norm, q, pts[mask], spec)
+            total += float(np.sum(wtot[mask] * weight_vals[mask] * slice_vals**q))
+    return total
 
 
 def pullback_mass(norm: Normalization, q: float, center, radius: float, spec: QuadSpec | None = None) -> float:

@@ -13,13 +13,19 @@ exponents go through tensor-product Gauss-Hermite quadrature centered at the
 mean frequency, which also runs at p = 2 when ``allow_closed_form=False`` and
 serves there as the cross-check.  A Monte Carlo mode is kept for loose
 cross-checks.
+
+A tensor-product rule over several axes (here and in ``carleson`` and ``wco``)
+is never built whole: ``grid_blocks`` splits its points, in the row-major
+order of ``np.meshgrid(..., indexing="ij")``, into blocks of whole rows of
+the first axis holding at most ``max(_GRID_BLOCK, product of the other axis
+sizes)`` points, and the sums run block by block.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 from scipy.special import gamma, hyp1f1
@@ -28,7 +34,7 @@ from .errors import DimensionError, DomainError
 from .funcspace import ExpPoly, slice_head
 from .linalg import as_cvector
 
-__all__ = ["QuadSpec", "NormResult", "f2_inner", "fock_norm", "fock_sup_norm", "slice_norm"]
+__all__ = ["QuadSpec", "NormResult", "f2_inner", "fock_norm", "fock_sup_norm", "grid_blocks", "slice_norm"]
 
 
 @dataclass(frozen=True)
@@ -254,8 +260,30 @@ def coordinate_grid(center: complex, p: float, k: int) -> tuple[np.ndarray, np.n
     return z, w * np.exp(-p * (np.abs(z) ** 2) / 2.0) * (p / (2.0 * math.pi))
 
 
+#: most points a tensor-product quadrature block holds, unless one row of the
+#: first axis alone holds more
+_GRID_BLOCK = 1 << 15
+
+
+def grid_blocks(sizes: Sequence[int]) -> Iterator[slice]:
+    """Blocks of the tensor product of axes with these sizes, as first-axis row slices.
+
+    Block ``rows`` holds the points whose first index lies in ``rows`` and
+    whose other indices are free.  In the row-major order of
+    ``np.meshgrid(..., indexing="ij")`` raveled, those points are one
+    contiguous stretch, and the blocks follow each other in that order, so
+    concatenating ``np.meshgrid(axis0[rows], *other_axes, indexing="ij")``
+    raveled over the blocks gives the whole grid.  A block holds at most
+    ``max(_GRID_BLOCK, prod(sizes[1:]))`` points.
+    """
+    inner = math.prod(sizes[1:])
+    step = max(1, _GRID_BLOCK // inner)
+    for lo in range(0, sizes[0], step):
+        yield slice(lo, min(lo + step, sizes[0]))
+
+
 def _gh_integral_norm(f: ExpPoly, p: float, k: int) -> float:
-    """Quadrature value of the norm using k nodes per real axis."""
+    """Quadrature value of the norm using k nodes per real axis, summed block by block."""
     n = f.n
     if not f.terms:
         return 0.0
@@ -279,22 +307,19 @@ def _gh_integral_norm(f: ExpPoly, p: float, k: int) -> float:
             fac[j] = v
         factors.append(fac)
 
-    if n == 1:
-        vals = coeffs @ factors[0]
-        total = float(np.sum((np.abs(vals) ** p) * weights[0]))
-    elif n == 2:
-        grid = (coeffs[:, None] * factors[0]).T @ factors[1]
-        total = float(weights[0] @ (np.abs(grid) ** p) @ weights[1])
-    else:
-        g0 = coeffs[:, None] * factors[0]
-        m = coords[0].shape[0]
-        chunk = max(1, int(2_000_000 // (coords[1].shape[0] * coords[2].shape[0])) or 1)
-        total = 0.0
-        for lo in range(0, m, chunk):
-            sl = slice(lo, min(lo + chunk, m))
-            block = np.einsum("ja,jb,jc->abc", g0[:, sl], factors[1], factors[2], optimize=True)
+    g0 = coeffs[:, None] * factors[0]
+    total = 0.0
+    for rows in grid_blocks([z.shape[0] for z in coords]):
+        if n == 1:
+            vals = coeffs @ factors[0][:, rows]
+            total += float(np.sum((np.abs(vals) ** p) * weights[0][rows]))
+        elif n == 2:
+            grid = g0[:, rows].T @ factors[1]
+            total += float(weights[0][rows] @ (np.abs(grid) ** p) @ weights[1])
+        else:
+            block = np.einsum("ja,jb,jc->abc", g0[:, rows], factors[1], factors[2], optimize=True)
             h = np.abs(block) ** p
-            total += float(np.einsum("abc,a,b,c->", h, weights[0][sl], weights[1], weights[2]))
+            total += float(np.einsum("abc,a,b,c->", h, weights[0][rows], weights[1], weights[2]))
     if total < 0:
         total = 0.0
     return total ** (1.0 / p)

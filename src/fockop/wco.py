@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Sequence
 
 import numpy as np
@@ -39,7 +39,7 @@ from scipy.special import gamma, hyp1f1, logsumexp
 from .errors import DimensionError, DomainError, UnsupportedExponentsError
 from .funcspace import AffineMap, ExpPoly, Term, compose_affine
 from .linalg import as_cvector, svd
-from .quad import DEFAULT_SPEC, NormResult, QuadSpec, fock_norm, single_term_norm, slice_norm
+from .quad import DEFAULT_SPEC, NormResult, QuadSpec, fock_norm, grid_blocks, single_term_norm, slice_norm
 
 __all__ = [
     "WcoProblem",
@@ -638,21 +638,19 @@ def _quadrature_log_integral(profile: EllProfile, r: float, spec: QuadSpec) -> f
         grids.append((xs[:, None] + 1j * ys[None, :]).ravel())
     logw2d = [(axes_logw[i][:, None] + axes_logw[i][None, :]).ravel() for i in range(s)]
 
-    mesh = np.meshgrid(*grids, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=-1)
-    logw = np.zeros(pts.shape[0])
-    shape = [g.shape[0] for g in grids]
-    for i in range(s):
-        reshaped = logw2d[i].reshape([1] * i + [shape[i]] + [1] * (s - 1 - i))
-        logw += np.broadcast_to(reshaped, shape).ravel()
-
-    vals = ell_at_many(profile, pts, spec)
-    with np.errstate(divide="ignore"):
-        logell = np.log(vals)
-    comp = np.zeros(pts.shape[0])
-    for i in range(s):
-        comp += rates[i] * np.abs(pts[:, i] - centers[i]) ** 2
-    return float(logsumexp(r * logell + comp + logw))
+    block_logs = []
+    for rows in grid_blocks([len(g) for g in grids]):
+        mesh = np.meshgrid(grids[0][rows], *grids[1:], indexing="ij")
+        pts = np.stack([m.ravel() for m in mesh], axis=-1)
+        logw = reduce(np.add.outer, [logw2d[0][rows], *logw2d[1:]]).ravel()
+        vals = ell_at_many(profile, pts, spec)
+        with np.errstate(divide="ignore"):
+            logell = np.log(vals)
+        comp = np.zeros(pts.shape[0])
+        for i in range(s):
+            comp += rates[i] * np.abs(pts[:, i] - centers[i]) ** 2
+        block_logs.append(logsumexp(r * logell + comp + logw))
+    return float(logsumexp(block_logs))
 
 
 def _integral_evidence(profile: EllProfile, r: float, spec: QuadSpec) -> bool:
@@ -663,12 +661,15 @@ def _integral_evidence(profile: EllProfile, r: float, spec: QuadSpec) -> bool:
     for radius in (5.0, 8.0):
         axis = np.linspace(-radius, radius, g)
         cell = (axis[1] - axis[0]) ** (2 * s)
-        mesh = np.meshgrid(*([axis] * (2 * s)), indexing="ij")
-        flat = np.stack([m.ravel() for m in mesh], axis=-1)
-        pts = flat[:, :s] + 1j * flat[:, s:]
-        inside = np.sum(np.abs(pts) ** 2, axis=1) <= radius * radius
-        ell = ell_at_many(profile, pts[inside], spec)
-        vals.append(float(np.sum(ell**r)) * cell)
+        total = 0.0
+        for rows in grid_blocks([g] * (2 * s)):
+            mesh = np.meshgrid(axis[rows], *([axis] * (2 * s - 1)), indexing="ij")
+            flat = np.stack([m.ravel() for m in mesh], axis=-1)
+            pts = flat[:, :s] + 1j * flat[:, s:]
+            inside = np.sum(np.abs(pts) ** 2, axis=1) <= radius * radius
+            ell = ell_at_many(profile, pts[inside], spec)
+            total += float(np.sum(ell**r))
+        vals.append(total * cell)
     if vals[1] <= 0:
         return True
     growth = (vals[1] - vals[0]) / vals[1]

@@ -13,11 +13,14 @@ import math
 import numpy as np
 import pytest
 
+from fockop import quad, wco
 from fockop.carleson import berezin_transform, carleson_integral, pullback_mass
+from fockop.cli import load_problem
 from fockop.errors import DomainError
 from fockop.funcspace import AffineMap, constant, kernel
 from fockop.quad import QuadSpec
-from fockop.wco import WcoProblem, ell_profile, normalize
+from fockop.wco import WcoProblem, analyze, ell_profile, normalize
+from helpers import corpus_path
 
 FORCE_QUAD = QuadSpec(allow_closed_form=False)
 
@@ -127,3 +130,58 @@ def test_berezin_decays_for_compact_symbol():
     nz = normalize(one_d(0.5))
     vals = [berezin_transform(nz, 2.0, [w]) for w in (0.0, 2.0, 4.0, 6.0)]
     assert vals[-1] < 1e-3 * vals[0]
+
+
+# -- block-by-block quadrature ---------------------------------------------------
+
+
+def corpus_09():
+    return analyze(load_problem(corpus_path("09_collapse_compact")).problem)
+
+
+def record_ell_sizes(monkeypatch):
+    """Patch ``wco.ell_at_many`` to record how many points each call receives."""
+    sizes = []
+    ell_at_many = wco.ell_at_many
+
+    def recording(profile, points, spec=None):
+        sizes.append(len(points))
+        return ell_at_many(profile, points, spec)
+
+    monkeypatch.setattr(wco, "ell_at_many", recording)
+    return sizes
+
+
+def test_log_integral_feeds_ell_one_block_at_a_time(monkeypatch):
+    # corpus 09 has rank 2: its 40^2 x 40^2 rule has 2,560,000 points
+    an = corpus_09()
+    sizes = record_ell_sizes(monkeypatch)
+    wco._quadrature_log_integral(an.profile, 4.0, FORCE_QUAD)
+    assert sum(sizes) == 40**4
+    assert max(sizes) <= max(quad._GRID_BLOCK, 40**2)
+
+
+def test_integral_evidence_feeds_ell_one_block_at_a_time(monkeypatch):
+    # two frequencies give no certificate: membership comes from Riemann sums on 25^4 points
+    psi = kernel([0.3, -0.2]) + kernel([-0.4j, 0.1])
+    prob = WcoProblem(psi, AffineMap(np.diag([0.6, 0.3]).astype(complex), [0.2, 0.1]), 4.0, 2.0)
+    an = analyze(prob)
+    sizes = record_ell_sizes(monkeypatch)
+    assert wco._integral_evidence(an.profile, 4.0, QuadSpec())
+    assert max(sizes) <= max(quad._GRID_BLOCK, 25**3)
+
+
+def test_measure_sums_do_not_depend_on_the_block(monkeypatch):
+    an = corpus_09()
+    spec = QuadSpec(nodes_per_axis=16, allow_closed_form=False)
+
+    def sums():
+        mass = pullback_mass(an.normalization, 2.0, [0.1, -0.2j], 2.0, spec)
+        log_i = wco._quadrature_log_integral(an.profile, 4.0, spec)
+        return mass, log_i
+
+    mass, log_i = sums()
+    monkeypatch.setattr(quad, "_GRID_BLOCK", 1)  # one row of the first axis per block
+    mass_rows, log_i_rows = sums()
+    assert abs(mass - mass_rows) <= 1e-13 * mass
+    assert abs(log_i - log_i_rows) <= 1e-13 * max(1.0, abs(log_i))

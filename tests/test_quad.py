@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -179,3 +180,50 @@ def test_p2_norm_runs_no_quadrature(monkeypatch):
     )
     with pytest.raises(AssertionError, match="Gauss-Hermite"):
         fock_norm(pair, 2.0, GH)
+
+
+# -- block-by-block tensor-product sums -----------------------------------------
+
+
+@pytest.mark.parametrize("sizes", [(7,), (5, 3), (4, 3, 2)])
+def test_grid_blocks_follow_meshgrid_order(monkeypatch, sizes):
+    monkeypatch.setattr(quad, "_GRID_BLOCK", 5)
+    axes = [np.arange(m) for m in sizes]
+    whole = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=-1)
+    blocks = []
+    for rows in quad.grid_blocks(sizes):
+        mesh = np.meshgrid(axes[0][rows], *axes[1:], indexing="ij")
+        blocks.append(np.stack([m.ravel() for m in mesh], axis=-1))
+        assert len(blocks[-1]) <= max(5, math.prod(sizes[1:]))
+    assert np.array_equal(np.concatenate(blocks), whole)
+
+
+def _three_term_symbol(n):
+    rng = np.random.default_rng(40 + n)
+    terms = []
+    for power in [(0,) * n, (1,) + (0,) * (n - 1), (0,) * (n - 1) + (2,)]:
+        freq = tuple(complex(*rng.uniform(-0.6, 0.6, 2)) for _ in range(n))
+        terms.append(Term(complex(*rng.uniform(-1.0, 1.0, 2)), power, freq))
+    return ExpPoly(n, tuple(terms))
+
+
+@pytest.mark.parametrize("n, k", [(1, 40), (2, 40), (3, 10)])
+def test_gh_norm_does_not_depend_on_the_block(monkeypatch, n, k):
+    f = _three_term_symbol(n)
+    blocked = quad._gh_integral_norm(f, 0.7, k)
+    monkeypatch.setattr(quad, "_GRID_BLOCK", 1)  # one row of the first axis per block
+    by_rows = quad._gh_integral_norm(f, 0.7, k)
+    assert abs(blocked - by_rows) <= 1e-13 * blocked
+
+
+def test_gh_norm_holds_one_block_at_a_time():
+    # the whole 40^2 x 40^2 grid of complex values alone takes 41 MB
+    f = _three_term_symbol(2)
+    fock_norm(f, 0.7)  # node rules are cached on first use
+    tracemalloc.start()
+    try:
+        fock_norm(f, 0.7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20

@@ -2,12 +2,14 @@
 
 No module imports an underscore name from another fockop module, no function
 body imports a fockop module (a lazy import is how a cycle hides), and the
-imports between fockop modules form no cycle.
+imports between fockop modules form no cycle; the package exports names, not
+modules.
 """
 import ast
 import importlib
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -121,3 +123,10 @@ def test_traced_names_resolve_on_the_package():
         if not callable(getattr(importlib.import_module(f"fockop.{module}"), function, None))
     ]
     assert not missing, missing
+
+
+def test_package_exports_no_modules():
+    fockop = importlib.import_module("fockop")
+    assert "fock_norm" in fockop.__all__ and "analyze" in fockop.__all__
+    modules = [name for name in fockop.__all__ if isinstance(getattr(fockop, name), types.ModuleType)]
+    assert not modules, modules
