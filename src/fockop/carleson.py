@@ -20,7 +20,8 @@ import numpy as np
 from .errors import DomainError
 from .funcspace import AffineMap, ExpPoly, Term, compose_affine, multiply
 from .linalg import as_cvector
-from .quad import DEFAULT_SPEC, QuadSpec, coordinate_grid, fock_norm, grid_blocks, single_term_norm, slice_norm
+from .quad import DEFAULT_SPEC, QuadSpec, coordinate_grid, fock_norm, grid_blocks, grid_points, single_term_norm
+from .quad import slice_norm
 from .wco import CarlesonReport, Normalization, carleson_integral
 
 __all__ = ["CarlesonReport", "carleson_integral", "pullback_mass", "berezin_transform"]
@@ -72,8 +73,7 @@ def _measure_quadrature(norm: Normalization, q: float, weight_fn, spec: QuadSpec
 
     total = 0.0
     for rows in grid_blocks([len(z) for z in grids]):
-        mesh = np.meshgrid(grids[0][rows], *grids[1:], indexing="ij")
-        pts = np.stack([m.ravel() for m in mesh], axis=-1)
+        pts = grid_points(grids, rows)
         wtot = reduce(np.multiply.outer, [qweights[0][rows], *qweights[1:]]).ravel()
         img = pts * norm.diag[np.newaxis, :s] + norm.b_t[np.newaxis, :s]
         weight_vals = weight_fn(img)

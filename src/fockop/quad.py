@@ -14,18 +14,21 @@ mean frequency, which also runs at p = 2 when ``allow_closed_form=False`` and
 serves there as the cross-check.  A Monte Carlo mode is kept for loose
 cross-checks.
 
-A tensor-product rule over several axes (here and in ``carleson`` and ``wco``)
-is never built whole: ``grid_blocks`` splits its points, in the row-major
-order of ``np.meshgrid(..., indexing="ij")``, into blocks of whole rows of
-the first axis holding at most ``max(_GRID_BLOCK, product of the other axis
-sizes)`` points, and the sums run block by block.
+A tensor-product grid over several complex axes (here and in ``carleson`` and
+``wco``) is never built whole: ``grid_blocks`` splits its points, in the
+row-major order of ``np.meshgrid(..., indexing="ij")``, into blocks of whole
+rows of the first axis holding at most ``max(_GRID_BLOCK, product of the other
+axis sizes)`` points, and the sums run block by block.  ``tensor_values``
+evaluates a symbol on each block from per-axis factor tables, for any number
+of axes; ``grid_points`` stacks a block's points for integrands that are not
+separable.  ``tensor_sup`` is the one grid-plus-local-search maximizer.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 from scipy.special import gamma, hyp1f1
@@ -34,7 +37,8 @@ from .errors import DimensionError, DomainError
 from .funcspace import ExpPoly, slice_head
 from .linalg import as_cvector
 
-__all__ = ["QuadSpec", "NormResult", "f2_inner", "fock_norm", "fock_sup_norm", "grid_blocks", "slice_norm"]
+__all__ = ["QuadSpec", "NormResult", "f2_inner", "fock_norm", "fock_sup_norm", "grid_blocks", "slice_norm",
+           "tensor_sup", "tensor_values"]
 
 
 @dataclass(frozen=True)
@@ -120,22 +124,29 @@ def single_term_norm(coeff: complex, power: tuple[int, ...], freq: tuple[complex
     return math.exp(log_total)
 
 
-def _single_term_sup(coeff: complex, power: tuple[int, ...], freq: tuple[complex, ...]) -> float:
-    """Exact weighted sup of a single term.
-
-    Per coordinate maximize a log|z| + u|z| - |z|^2/2 with u = |c|; the
-    maximizer is rho* = (u + sqrt(u^2 + 4a))/2.
-    """
-    if coeff == 0:
+def factor_argmax(a: float, wmod: float, d: int) -> float:
+    """The maximizer rho >= 0 of  d log(rho) + wmod rho - ((1-a^2)/2) rho^2 (0 when a >= 1)."""
+    t = (1.0 - a * a) / 2.0
+    if t <= 0.0:
         return 0.0
-    log_total = math.log(abs(coeff))
-    for a, c in zip(power, freq):
-        u = abs(c)
-        if a == 0 and u == 0.0:
-            continue
-        rho = (u + math.sqrt(u * u + 4.0 * a)) / 2.0
-        log_total += (a * math.log(rho) if a else 0.0) + u * rho - rho * rho / 2.0
-    return math.exp(log_total)
+    if d == 0:
+        return wmod / (2.0 * t)
+    return (wmod + math.sqrt(wmod * wmod + 8.0 * t * d)) / (4.0 * t)
+
+
+def factor_log_max(a: float, wmod: float, d: int) -> float:
+    """log sup over rho >= 0 of  d log(rho) + wmod rho - ((1-a^2)/2) rho^2.
+
+    It is one coordinate's factor of sup ell; a = 0 gives the weighted sup of
+    |z|^d e^{wmod |z|}, a coordinate's factor of a single term's sup norm.
+    """
+    t = (1.0 - a * a) / 2.0
+    if t <= 0.0:
+        return 0.0  # finiteness requires wmod == 0 and d == 0 here
+    if d == 0:
+        return wmod * wmod / (4.0 * t)
+    rho = factor_argmax(a, wmod, d)
+    return d * math.log(rho) + wmod * rho - t * rho * rho
 
 
 # -- the exact p = 2 inner product -------------------------------------------
@@ -244,6 +255,11 @@ def _gh_rule(k: int) -> tuple[np.ndarray, np.ndarray]:
     return t, wn
 
 
+def plane_axis(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """The complex nodes x + iy of one coordinate, x over ``xs`` and y over ``ys``, x-major."""
+    return (xs[:, None] + 1j * ys[None, :]).ravel()
+
+
 def coordinate_grid(center: complex, p: float, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Complex nodes and weights for one complex coordinate of the p-measure.
 
@@ -253,9 +269,7 @@ def coordinate_grid(center: complex, p: float, k: int) -> tuple[np.ndarray, np.n
     """
     t, wn = _gh_rule(k)
     h = math.sqrt(2.0 / p)
-    xs = center.real + t * h
-    ys = center.imag + t * h
-    z = (xs[:, None] + 1j * ys[None, :]).ravel()
+    z = plane_axis(center.real + t * h, center.imag + t * h)
     w = (wn[:, None] * wn[None, :]).ravel() * (2.0 / p)
     return z, w * np.exp(-p * (np.abs(z) ** 2) / 2.0) * (p / (2.0 * math.pi))
 
@@ -282,47 +296,65 @@ def grid_blocks(sizes: Sequence[int]) -> Iterator[slice]:
         yield slice(lo, min(lo + step, sizes[0]))
 
 
+def block_axes(per_axis: Sequence[np.ndarray], rows: slice) -> list[np.ndarray]:
+    """Per-axis arrays of one ``grid_blocks`` block (axis 0 cut to ``rows``), shaped to broadcast over it.
+
+    Array i gets shape (1, ..., len, ..., 1), its length at position i, so an
+    elementwise expression in them gives the block's values in meshgrid "ij" order.
+    """
+    shape = [1] * len(per_axis)
+    return [np.reshape(v[rows] if i == 0 else v, shape[:i] + [-1] + shape[i + 1 :]) for i, v in enumerate(per_axis)]
+
+
+def grid_points(axes: Sequence[np.ndarray], rows: slice) -> np.ndarray:
+    """The (M, len(axes)) points of one ``grid_blocks`` block, in meshgrid "ij" order."""
+    mesh = np.meshgrid(axes[0][rows], *axes[1:], indexing="ij")
+    return np.stack([m.ravel() for m in mesh], axis=-1)
+
+
+def tensor_values(f: ExpPoly, axes: Sequence[np.ndarray]) -> Iterator[tuple[slice, np.ndarray]]:
+    """``f`` on the tensor grid of the complex ``axes`` (one per variable), block by block.
+
+    Yields each ``grid_blocks`` block ``rows`` with the values there, shaped
+    (len rows, len axes[1], ..., len axes[-1]).  Per axis i the factor table
+    of z^power_i e^{z conj(freq_i)} (terms by nodes) is built once; per block
+    the coefficients scale the first axis's table, each middle axis is merged
+    into the term-wise (Khatri-Rao) product, and one matmul with the last
+    axis's table sums over the terms.
+    """
+    coeffs = np.array([t.coeff for t in f.terms], dtype=complex)
+    tables = [
+        np.array([np.exp(z * np.conj(freq[i])) * z ** power[i] for _, power, freq in f.terms]) for i, z in enumerate(axes)
+    ]
+    sizes = [len(z) for z in axes]
+    for rows in grid_blocks(sizes):
+        if f.n == 1:
+            yield rows, coeffs @ tables[0][:, rows]
+            continue
+        g = coeffs[:, None] * tables[0][:, rows]
+        for table in tables[1:-1]:
+            g = (g[:, :, None] * table[:, None, :]).reshape(len(coeffs), -1)
+        yield rows, (g.T @ tables[-1]).reshape(-1, *sizes[1:])
+
+
 def _gh_integral_norm(f: ExpPoly, p: float, k: int) -> float:
     """Quadrature value of the norm using k nodes per real axis, summed block by block."""
-    n = f.n
     if not f.terms:
         return 0.0
     center = np.mean(np.array([t.freq for t in f.terms], dtype=complex), axis=0)
-    coords = []
-    weights = []
-    for i in range(n):
-        z, w = coordinate_grid(complex(center[i]), p, k)
-        coords.append(z)
-        weights.append(w)
-
-    coeffs = np.array([t.coeff for t in f.terms], dtype=complex)
-    factors = []
-    for i in range(n):
-        z = coords[i]
-        fac = np.empty((len(f.terms), z.shape[0]), dtype=complex)
-        for j, (_, power, freq) in enumerate(f.terms):
-            v = np.exp(z * np.conj(freq[i])) if freq[i] != 0 else np.ones_like(z)
-            if power[i]:
-                v = v * z ** power[i]
-            fac[j] = v
-        factors.append(fac)
-
-    g0 = coeffs[:, None] * factors[0]
+    coords, weights = zip(*(coordinate_grid(complex(c), p, k) for c in center))
     total = 0.0
-    for rows in grid_blocks([z.shape[0] for z in coords]):
-        if n == 1:
-            vals = coeffs @ factors[0][:, rows]
-            total += float(np.sum((np.abs(vals) ** p) * weights[0][rows]))
-        elif n == 2:
-            grid = g0[:, rows].T @ factors[1]
-            total += float(weights[0][rows] @ (np.abs(grid) ** p) @ weights[1])
-        else:
-            block = np.einsum("ja,jb,jc->abc", g0[:, rows], factors[1], factors[2], optimize=True)
-            h = np.abs(block) ** p
-            total += float(np.einsum("abc,a,b,c->", h, weights[0][rows], weights[1], weights[2]))
-    if total < 0:
-        total = 0.0
-    return total ** (1.0 / p)
+    for rows, vals in tensor_values(f, coords):
+        h = np.abs(vals) ** p
+        if f.n == 1:
+            total += float(np.sum(h * weights[0][rows]))
+            continue
+        # contract the weights into |f|^p one axis at a time, the first axis first
+        acc = weights[0][rows] @ h.reshape(len(h), -1)
+        for w in weights[1:-1]:
+            acc = w @ acc.reshape(len(w), -1)
+        total += float(acc @ weights[-1])
+    return max(total, 0.0) ** (1.0 / p)
 
 
 def _monte_carlo_norm(f: ExpPoly, p: float, spec: QuadSpec) -> NormResult:
@@ -385,19 +417,69 @@ def _tail_bound(f: ExpPoly, r: float) -> float:
     return total
 
 
+def tensor_sup(blocks: Iterable, axes: Sequence[np.ndarray], free: Sequence[int], value_at: Callable, refine_iters: int):
+    """Largest value on a tensor grid, polished by Nelder-Mead from the best node.
+
+    ``blocks`` yields (rows, values) over the ``grid_blocks`` blocks of the
+    complex ``axes`` (overflow there is ignored); ``value_at(z)`` is the value
+    at one point.  The polish moves the coordinates in ``free`` only.  Returns
+    (value, err_estimate, edge_ratio), edge_ratio being the largest value on
+    the outer shell (radius >= 0.8 of the largest) over the overall one; from
+    0.5 on, values grow toward the boundary and the maximum is not polished.
+    A non-finite grid value gives (inf, inf, 1.0).
+    """
+    rmax = math.sqrt(sum(float(np.max(np.abs(z) ** 2)) for z in axes))
+    best, best_at, shell_max = -math.inf, None, -math.inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        for rows, vals in blocks:
+            vals = np.nan_to_num(vals, nan=np.inf)
+            if not np.all(np.isfinite(vals)):
+                return math.inf, math.inf, 1.0
+            zs = block_axes(axes, rows)
+            rad = np.sqrt(sum(np.abs(z) ** 2 for z in zs))
+            shell_max = max(shell_max, float(vals.max(where=rad >= 0.8 * rmax, initial=-np.inf)))
+            idx = np.unravel_index(int(np.argmax(vals)), vals.shape)
+            if vals[idx] > best:
+                best = float(vals[idx])
+                best_at = np.array([z[i] for z, i in zip([axes[0][rows], *axes[1:]], idx)])
+    edge = shell_max / best if best > 0 else 0.0
+
+    refined = best
+    if refine_iters > 0 and best > 0 and edge < 0.5:
+        from scipy import optimize  # imported here: loading it dominates start-up time
+
+        free, half = list(free), len(free)
+
+        def neg_log(x):
+            z = best_at.copy()
+            z[free] = x[:half] + 1j * x[half:]
+            return -math.log(value_at(z) + 1e-300)
+
+        x0 = np.concatenate([best_at[free].real, best_at[free].imag])
+        res = optimize.minimize(
+            neg_log, x0, method="Nelder-Mead",
+            options={"maxiter": 150 * refine_iters, "xatol": 1e-9, "fatol": 1e-11},
+        )
+        cand = math.exp(-float(res.fun))
+        if cand > refined:
+            refined = cand
+    return refined, abs(refined - best), edge
+
+
 def fock_sup_norm(f: ExpPoly, spec: QuadSpec | None = None) -> NormResult:
     """Weighted sup-norm sup |f(z)| e^{-|z|^2/2}.
 
-    Single terms are exact; otherwise a grid search inside an analytically
-    safe radius is polished by a local optimizer, so the result is a certified
-    lower bound that misses the true sup by at most the grid/polish error.
+    Single terms are exact; otherwise ``tensor_sup`` searches a grid inside an
+    analytically safe radius, so the result is a certified lower bound that
+    misses the true sup by at most the grid/polish error.
     """
     spec = spec or DEFAULT_SPEC
     if f.is_zero():
         return NormResult(0.0, "closed_form", 0.0)
     if len(f.terms) == 1 and spec.allow_closed_form:
-        t = f.terms[0]
-        return NormResult(_single_term_sup(t.coeff, t.power, t.freq), "closed_form", 0.0)
+        coeff, power, freq = f.terms[0]
+        log_sup = sum((factor_log_max(0.0, abs(c), k) for k, c in zip(power, freq)), start=math.log(abs(coeff)))
+        return NormResult(math.exp(log_sup), "closed_form", 0.0)
 
     n = f.n
     cmax = max(
@@ -415,38 +497,18 @@ def fock_sup_norm(f: ExpPoly, spec: QuadSpec | None = None) -> NormResult:
     if spec.sup_radius is not None:
         radius = max(radius, float(spec.sup_radius))
 
-    g = spec.resolve_sup_grid(n)
-    axis = np.linspace(-radius, radius, g)
-    mesh = np.meshgrid(*([axis] * (2 * n)), indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=-1)
-    z = pts[:, :n] + 1j * pts[:, n:]
-    vals = np.abs(f.eval_many(z)) * np.exp(-np.sum(np.abs(z) ** 2, axis=1) / 2.0)
-    best_idx = int(np.argmax(vals))
-    best = float(vals[best_idx])
-    x0 = pts[best_idx]
+    line = np.linspace(-radius, radius, spec.resolve_sup_grid(n))
+    axes = [plane_axis(line, line)] * n
+    blocks = (
+        (rows, np.abs(vals) * np.exp(-sum(np.abs(z) ** 2 for z in block_axes(axes, rows)) / 2.0))
+        for rows, vals in tensor_values(f, axes)
+    )
 
-    def neg_log(x):
-        zz = x[:n] + 1j * x[n:]
-        v = abs(complex(f.eval_many(zz[np.newaxis, :])[0])) * math.exp(
-            -float(np.sum(np.abs(zz) ** 2)) / 2.0
-        )
-        return -math.log(v + 1e-300)
-
-    refined = best
-    if spec.refine_iters > 0:
-        from scipy import optimize  # imported here: loading it dominates start-up time
-
-        res = optimize.minimize(
-            neg_log, x0, method="Nelder-Mead",
-            options={"maxiter": 200 * spec.refine_iters, "xatol": 1e-10, "fatol": 1e-12},
-        )
-        cand = math.exp(-float(res.fun))
-        if cand > refined:
-            refined = cand
-
+    value_at = lambda z: abs(f.eval(z)) * math.exp(-float(np.sum(np.abs(z) ** 2)) / 2.0)  # noqa: E731
+    refined, err, _ = tensor_sup(blocks, axes, range(n), value_at, spec.refine_iters)
     while _tail_bound(f, radius) > refined and radius < 80.0:
         radius += 2.0
-    return NormResult(refined, "quadrature", abs(refined - best), tail_radius=radius)
+    return NormResult(refined, "quadrature", err, tail_radius=radius)
 
 
 def slice_norm(psi: ExpPoly, q: float, head: Sequence[complex], spec: QuadSpec | None = None) -> NormResult:

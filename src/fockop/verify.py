@@ -26,7 +26,7 @@ from .carleson import berezin_transform, carleson_integral, pullback_mass
 from .errors import DomainError
 from .funcspace import ExpPoly, Term, slice_head, slice_tail
 from .oracle import TruncationSpec, compactness_witness, f2_matrix, truncated_norm
-from .quad import DEFAULT_SPEC, QuadSpec, fock_norm
+from .quad import DEFAULT_SPEC, QuadSpec, factor_argmax, fock_norm
 from .wco import (
     BOUNDED_NOT_COMPACT,
     CERTIFIED,
@@ -38,7 +38,6 @@ from .wco import (
     analyze,
     ell_profile,
     ell_sup,
-    factor_argmax,
     limsup_from_sup,
 )
 
@@ -327,9 +326,10 @@ def _escape_ray(an: Analysis) -> tuple[np.ndarray, np.ndarray]:
         rho = factor_argmax(prof.a[i], wmod, prof.deg[i])
         phase = prof.w[i] / wmod if wmod > 0 else 1.0
         zhat[i] = rho * phase
-    if prof.common_freq is not None:
+    common = nz.psi_t.common_frequency()
+    if common is not None:
         for i in range(s, n):
-            zhat[i] = prof.common_freq[i]
+            zhat[i] = common[i]
     unit = [i for i in range(s) if prof.a[i] >= 1.0]
     j = unit[0]
     base = nz.V @ (nz.diag.astype(complex) * zhat + nz.b_t)

@@ -23,6 +23,10 @@ certified finite/infinite and decay/no-decay decisions plus closed forms for
 single-term symbols.  Everything else is handled by numeric search and is
 reported as evidence, never as a certificate.
 
+Except on a rank < n map whose symbol has several frequencies or tail
+monomials (one slice norm per point there), ell is separable (``SeparableEll``)
+and its grids are evaluated with ``quad.tensor_values``.
+
 ``analyze`` runs the pipeline once per problem: its ``Analysis`` computes
 each step, the verdict and the bounds at most once, when first read.
 """
@@ -30,16 +34,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property, reduce
-from typing import Sequence
+from functools import cached_property
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
-from scipy.special import gamma, hyp1f1, logsumexp
+from scipy.special import gamma, hyp1f1
 
 from .errors import DimensionError, DomainError, UnsupportedExponentsError
 from .funcspace import AffineMap, ExpPoly, Term, compose_affine
 from .linalg import as_cvector, svd
-from .quad import DEFAULT_SPEC, NormResult, QuadSpec, fock_norm, grid_blocks, single_term_norm, slice_norm
+from .quad import DEFAULT_SPEC, NormResult, QuadSpec, block_axes, factor_argmax, factor_log_max, fock_norm, grid_blocks
+from .quad import grid_points, plane_axis, single_term_norm, slice_norm, tensor_sup, tensor_values
 
 __all__ = [
     "WcoProblem",
@@ -142,6 +147,19 @@ class Normalization:
         return AffineMap(np.diag(self.diag.astype(complex)), self.b_t)
 
 
+class SeparableEll(NamedTuple):
+    """ell in separable form over the head coordinates z_1..z_s (g = 1 when ``g`` is None):
+
+        log ell(z) = log|g(z)| + sum(log_const)
+                     + sum_i (d_i log|z_i| + ((a_i^2 - 1)/2)|z_i|^2 + Re(z_i conj(u_i)))
+    """
+
+    g: ExpPoly | None
+    log_const: tuple[float, ...]
+    d: tuple[int, ...]
+    u: tuple[complex, ...]
+
+
 @dataclass(frozen=True)
 class EllProfile:
     """Per-coordinate decision data for the function ell over C^s.
@@ -150,6 +168,7 @@ class EllProfile:
     per-coordinate data (a_i, w_i, deg_i) exactly determines finiteness and
     decay.  ``exact_factor`` additionally marks single-term symbols, for which
     ell factors in closed form and ``constant_factor`` is exact.
+    ``separable`` is ell's separable form, None where ell needs slice norms.
     """
 
     s: int
@@ -161,7 +180,7 @@ class EllProfile:
     mode: str
     exact_factor: bool
     normalization: Normalization
-    common_freq: tuple[complex, ...] | None = field(default=None, repr=False)
+    separable: SeparableEll | None = field(default=None, repr=False)
 
 
 @dataclass(frozen=True)
@@ -206,18 +225,22 @@ def normalize_pair(psi: ExpPoly, phi: AffineMap) -> Normalization:
     if psi.n != phi.n:
         raise DimensionError("symbol and map must live on the same C^n")
     t = svd(phi.A)
-    psi_t = compose_affine(psi, AffineMap(t.U.conj().T, np.zeros(psi.n, dtype=complex)))
-    b_t = t.V.conj().T @ phi.b
+    U, V = np.array(t.U, dtype=complex), np.array(t.V, dtype=complex)
+    return _rotated(psi, phi, t.sigma, U, V, t.rank_s, t.raw_sigma)
+
+
+def _rotated(psi: ExpPoly, phi: AffineMap, sigma, U: np.ndarray, V: np.ndarray, rank_s: int, raw_sigma) -> Normalization:
+    """(psi, phi) rotated by the factorization A = V diag(sigma) U."""
     return Normalization(
         psi=psi,
         phi=phi,
-        psi_t=psi_t,
-        diag=np.array(t.sigma, dtype=float),
-        b_t=b_t,
-        U=np.array(t.U, dtype=complex),
-        V=np.array(t.V, dtype=complex),
-        rank_s=t.rank_s,
-        raw_sigma=np.array(t.raw_sigma, dtype=float),
+        psi_t=compose_affine(psi, AffineMap(U.conj().T, np.zeros(psi.n, dtype=complex))),
+        diag=np.array(sigma, dtype=float),
+        b_t=V.conj().T @ phi.b,
+        U=U,
+        V=V,
+        rank_s=rank_s,
+        raw_sigma=np.array(raw_sigma, dtype=float),
     )
 
 
@@ -259,19 +282,7 @@ def alternative_normalization(norm: Normalization, seed: int = 0) -> Normalizati
             V[:, start:stop] = V[:, start:stop] @ _random_unitary(rng, g)
             U[start:stop, :] = _random_unitary(rng, g) @ U[start:stop, :]
         start = stop
-    psi_t = compose_affine(norm.psi, AffineMap(U.conj().T, np.zeros(n, dtype=complex)))
-    b_t = V.conj().T @ norm.phi.b
-    return Normalization(
-        psi=norm.psi,
-        phi=norm.phi,
-        psi_t=psi_t,
-        diag=np.array(sigma, dtype=float),
-        b_t=b_t,
-        U=U,
-        V=V,
-        rank_s=norm.rank_s,
-        raw_sigma=np.array(norm.raw_sigma, dtype=float),
-    )
+    return _rotated(norm.psi, norm.phi, sigma, U, V, norm.rank_s, norm.raw_sigma)
 
 
 # -- pointwise distortion ----------------------------------------------------
@@ -286,15 +297,6 @@ def m_at(psi: ExpPoly, phi: AffineMap, z: Sequence[complex]) -> float:
 
 
 # -- the ell profile ---------------------------------------------------------
-
-
-def _tail_norm_exact(term: Term, s: int, q: float) -> float:
-    """Exact q-norm of the tail part  z'^{gamma'} e^{<z', c'>}  of one term."""
-    power = term.power[s:]
-    freq = term.freq[s:]
-    if not power:
-        return 1.0
-    return single_term_norm(1.0 + 0j, power, freq, q)
 
 
 def ell_profile(norm: Normalization, q: float) -> EllProfile:
@@ -317,12 +319,26 @@ def ell_profile(norm: Normalization, q: float) -> EllProfile:
 
     exact = len(norm.psi_t.terms) == 1 and mode == CERTIFIED
     b_sq = float(np.sum(np.abs(norm.b_t) ** 2))
+    tail_sq = float(np.sum(np.abs(freq_ref[s:]) ** 2))
+    constant = norm.psi_t.max_coeff_modulus() * math.exp((tail_sq + b_sq) / 2.0)
     if exact:
         term = norm.psi_t.terms[0]
-        constant = abs(term.coeff) * _tail_norm_exact(term, s, q) * math.exp(b_sq / 2.0)
+        tail = single_term_norm(1.0 + 0j, term.power[s:], term.freq[s:], q) if s < norm.n else 1.0
+        constant = abs(term.coeff) * tail * math.exp(b_sq / 2.0)
+        separable = SeparableEll(None, (math.log(float(constant)),), term.power[:s], w)
+    elif mode == CERTIFIED and all(sum(t.power[s:]) == 0 for t in norm.psi_t.terms):
+        # no tail monomials: the slice norm is |head polynomial| times a
+        # constant tail norm, and the common frequency joins the drift w
+        tail = single_term_norm(1.0 + 0j, (0,) * (norm.n - s), tuple(freq_ref[s:]), float(q)) if s < norm.n else 1.0
+        head = ExpPoly(s, tuple(Term(t.coeff, t.power[:s], (0j,) * s) for t in norm.psi_t.terms))
+        separable = SeparableEll(head, (math.log(tail), b_sq / 2.0), (0,) * s, w)
+    elif s == norm.n:
+        # full rank: the slice norm is |psi_t(z)|, and |a z + b|^2 - |z|^2
+        # splits per coordinate
+        drift = tuple(complex(norm.diag[i] * norm.b_t[i]) for i in range(s))
+        separable = SeparableEll(norm.psi_t, (b_sq / 2.0,), (0,) * s, drift)
     else:
-        tail_sq = float(np.sum(np.abs(freq_ref[s:]) ** 2))
-        constant = norm.psi_t.max_coeff_modulus() * math.exp((tail_sq + b_sq) / 2.0)
+        separable = None
     return EllProfile(
         s=s,
         q=float(q),
@@ -333,7 +349,7 @@ def ell_profile(norm: Normalization, q: float) -> EllProfile:
         mode=mode,
         exact_factor=exact,
         normalization=norm,
-        common_freq=common,
+        separable=separable,
     )
 
 
@@ -347,29 +363,31 @@ def _finite_flags(profile: EllProfile) -> list[bool]:
     return flags
 
 
-def _factor_log_max(a: float, wmod: float, d: int) -> float:
-    """log sup over rho >= 0 of  d log(rho) + wmod rho - ((1-a^2)/2) rho^2."""
-    t = (1.0 - a * a) / 2.0
-    if t <= 0.0:
-        return 0.0  # finiteness requires wmod == 0 and d == 0 here
-    if d == 0:
-        return wmod * wmod / (4.0 * t)
-    rho = (wmod + math.sqrt(wmod * wmod + 8.0 * t * d)) / (4.0 * t)
-    return d * math.log(rho) + wmod * rho - t * rho * rho
-
-
-def factor_argmax(a: float, wmod: float, d: int) -> float:
-    t = (1.0 - a * a) / 2.0
-    if t <= 0.0:
-        return 0.0
-    if d == 0:
-        return wmod / (2.0 * t)
-    return (wmod + math.sqrt(wmod * wmod + 8.0 * t * d)) / (4.0 * t)
-
-
 def ell_at(profile: EllProfile, z_head: Sequence[complex], spec: QuadSpec | None = None) -> float:
     z = as_cvector(z_head, profile.s)
     return float(ell_at_many(profile, z[np.newaxis, :], spec)[0])
+
+
+def _separable_log_ell(profile: EllProfile, zs: Sequence[np.ndarray], g_values: np.ndarray | None) -> np.ndarray:
+    """log ell at the points the head coordinates ``zs`` broadcast to, g being ``g_values`` there.
+
+    The terms are added in a fixed order, so a point gets the same value alone or in a grid.
+    """
+    sep = profile.separable
+    if g_values is None:
+        logv = np.zeros(np.broadcast_shapes(*(np.shape(z) for z in zs)))
+    else:
+        logv = np.log(np.maximum(np.abs(g_values), 1e-300))
+    for c in sep.log_const:
+        logv += c
+    for z, a, d, u in zip(zs, profile.a, sep.d, sep.u):
+        mod = np.abs(z)
+        if d:
+            with np.errstate(divide="ignore"):
+                logv += d * np.log(mod)
+        logv += ((a**2 - 1.0) / 2.0) * mod**2
+        logv += np.real(z * np.conj(u))
+    return logv
 
 
 def ell_at_many(profile: EllProfile, points: np.ndarray, spec: QuadSpec | None = None) -> np.ndarray:
@@ -379,47 +397,11 @@ def ell_at_many(profile: EllProfile, points: np.ndarray, spec: QuadSpec | None =
         raise DimensionError(f"expected points of shape (M, {profile.s})")
     norm = profile.normalization
     s = profile.s
+    sep = profile.separable
+    if sep is not None:
+        return np.exp(_separable_log_ell(profile, pts.T, None if sep.g is None else sep.g.eval_many(pts)))
 
-    if profile.exact_factor:
-        term = norm.psi_t.terms[0]
-        logv = np.full(pts.shape[0], math.log(profile.constant_factor))
-        for i in range(s):
-            zi = pts[:, i]
-            mod = np.abs(zi)
-            if term.power[i]:
-                with np.errstate(divide="ignore"):
-                    logv = logv + term.power[i] * np.log(mod)
-            logv = logv + ((profile.a[i] ** 2 - 1.0) / 2.0) * mod**2
-            logv = logv + np.real(zi * np.conj(profile.w[i]))
-        return np.exp(logv)
-
-    if profile.mode == CERTIFIED and all(sum(t.power[s:]) == 0 for t in norm.psi_t.terms):
-        # common frequency and no tail monomials: the slice norm splits into
-        # |head polynomial| times a constant tail norm
-        c = np.array(profile.common_freq, dtype=complex)
-        tail_const = (
-            single_term_norm(1.0 + 0j, (0,) * (norm.n - s), tuple(c[s:]), profile.q)
-            if s < norm.n
-            else 1.0
-        )
-        head_poly = ExpPoly(s, tuple(Term(t.coeff, t.power[:s], (0j,) * s) for t in norm.psi_t.terms))
-        pvals = np.abs(head_poly.eval_many(pts))
-        logv = np.log(np.maximum(pvals, 1e-300)) + math.log(tail_const)
-        b_sq = float(np.sum(np.abs(norm.b_t) ** 2))
-        logv = logv + b_sq / 2.0
-        for i in range(s):
-            zi = pts[:, i]
-            logv = logv + ((profile.a[i] ** 2 - 1.0) / 2.0) * np.abs(zi) ** 2
-            logv = logv + np.real(zi * np.conj(profile.w[i]))
-        return np.exp(logv)
-
-    if s == norm.n:
-        # full-rank head: the slice norm is a plain modulus, fully vectorized
-        img = pts * norm.diag[np.newaxis, :] + norm.b_t[np.newaxis, :]
-        expo = (np.sum(np.abs(img) ** 2, axis=1) - np.sum(np.abs(pts) ** 2, axis=1)) / 2.0
-        return np.abs(norm.psi_t.eval_many(pts)) * np.exp(expo)
-
-    # general fallback: slice norm per point
+    # slice norm per point
     out = np.empty(pts.shape[0], dtype=float)
     b_tail_sq = float(np.sum(np.abs(norm.b_t[s:]) ** 2))
     for j in range(pts.shape[0]):
@@ -432,66 +414,40 @@ def ell_at_many(profile: EllProfile, points: np.ndarray, spec: QuadSpec | None =
     return out
 
 
-def _grid_points(radii: list[float], g: int) -> np.ndarray:
-    axes = []
-    for r in radii:
-        axes.append(np.linspace(-r, r, g))
-        axes.append(np.linspace(-r, r, g))
-    mesh = np.meshgrid(*axes, indexing="ij")
-    flat = np.stack([m.ravel() for m in mesh], axis=-1)
-    return flat[:, 0::2] + 1j * flat[:, 1::2]
+def _ell_blocks(profile: EllProfile, axes: Sequence[np.ndarray], spec: QuadSpec, where=None, log=False) -> Iterator:
+    """(rows, ell or, with ``log``, log ell) per block of the tensor grid of the complex head ``axes``.
+
+    The values are shaped like the block.  With ``where``, a mask of the block
+    computed from its ``block_axes``, only the points it keeps are evaluated
+    and yielded, flat in grid order.
+    """
+    sep = profile.separable
+    sizes = [len(z) for z in axes]
+    has_g = sep is not None and sep.g is not None
+    for rows, g_values in tensor_values(sep.g, axes) if has_g else ((rows, None) for rows in grid_blocks(sizes)):
+        zs = block_axes(axes, rows)
+        keep = None if where is None else where(zs)
+        if sep is not None:
+            vals = _separable_log_ell(profile, zs, g_values)
+            vals = vals if log else np.exp(vals)
+            yield rows, (vals if keep is None else vals[keep])
+            continue
+        pts = grid_points(axes, rows)
+        vals = ell_at_many(profile, pts if keep is None else pts[keep.ravel()], spec)
+        if log:
+            with np.errstate(divide="ignore"):
+                vals = np.log(vals)
+        yield rows, (vals.reshape(-1, *sizes[1:]) if keep is None else vals)
 
 
 def _numeric_sup(profile: EllProfile, spec: QuadSpec, radii: list[float], active: list[int]) -> tuple[float, float, float]:
-    """Grid + local search of ell over the active coordinates.
-
-    Returns (value, err_estimate, edge_ratio) where edge_ratio compares the
-    outer-shell maximum against the overall maximum; values near (or above) 1
-    mean the search kept growing toward the boundary.
-    """
-    s = profile.s
+    """``quad.tensor_sup`` of ell over the active coordinates (the others stay 0): (value, err, edge ratio)."""
     g = min(spec.resolve_sup_grid(len(active)) if len(active) <= 3 else 7, 17)
-    sub = _grid_points([radii[i] for i in active], g)
-    pts = np.zeros((sub.shape[0], s), dtype=complex)
-    for k, i in enumerate(active):
-        pts[:, i] = sub[:, k]
-    with np.errstate(over="ignore", invalid="ignore"):
-        vals = ell_at_many(profile, pts, spec)
-    vals = np.nan_to_num(vals, nan=np.inf)
-    if not np.all(np.isfinite(vals)):
-        return math.inf, math.inf, 1.0
-    rad = np.sqrt(np.sum(np.abs(sub) ** 2, axis=1))
-    rmax = rad.max() if rad.size else 1.0
-    shell = vals[rad >= 0.8 * rmax] if rad.size else vals
-    best_idx = int(np.argmax(vals))
-    best = float(vals[best_idx])
-    edge = float(shell.max() / best) if best > 0 and shell.size else 0.0
-
-    refined = best
-    # do not polish an objective that is still growing at the search boundary
-    if spec.refine_iters > 0 and best > 0 and edge < 0.5:
-        x0 = np.concatenate([sub[best_idx].real, sub[best_idx].imag])
-
-        def neg_log(x):
-            half = len(active)
-            z = np.zeros(s, dtype=complex)
-            for k, i in enumerate(active):
-                z[i] = x[k] + 1j * x[half + k]
-            v = ell_at(profile, z, spec)
-            return -math.log(v + 1e-300)
-
-        from scipy import optimize  # imported here: loading it dominates start-up time
-
-        res = optimize.minimize(
-            neg_log,
-            x0,
-            method="Nelder-Mead",
-            options={"maxiter": 150 * spec.refine_iters, "xatol": 1e-9, "fatol": 1e-11},
-        )
-        cand = math.exp(-float(res.fun))
-        if cand > refined:
-            refined = cand
-    return refined, abs(refined - best), edge
+    lines = [np.linspace(-r, r, g) for r in radii]
+    axes = [plane_axis(x, x) if i in active else np.zeros(1, dtype=complex) for i, x in enumerate(lines)]
+    return tensor_sup(
+        _ell_blocks(profile, axes, spec), axes, active, lambda z: ell_at(profile, z, spec), spec.refine_iters
+    )
 
 
 def ell_sup(profile: EllProfile, spec: QuadSpec | None = None) -> NormResult:
@@ -510,7 +466,7 @@ def ell_sup(profile: EllProfile, spec: QuadSpec | None = None) -> NormResult:
         if profile.exact_factor:
             log_total = math.log(profile.constant_factor)
             for a, w, d in zip(profile.a, profile.w, profile.deg):
-                log_total += _factor_log_max(a, abs(w), d)
+                log_total += factor_log_max(a, abs(w), d)
             return NormResult(math.exp(log_total), "closed_form", 0.0)
         active = [i for i in range(profile.s) if profile.a[i] < 1.0]
         if not active:
@@ -599,6 +555,12 @@ def _closed_form_log_integral(profile: EllProfile, r: float) -> float:
     return log_total
 
 
+def _logsumexp(a: np.ndarray) -> float:
+    """log sum exp(a) over a real 1-D array; an infinite or NaN maximum is returned as is."""
+    top = a.max()
+    return float(top + np.log(np.sum(np.exp(a - top)))) if np.isfinite(top) else float(top)
+
+
 def _quadrature_log_integral(profile: EllProfile, r: float, spec: QuadSpec) -> float:
     """Gauss-Hermite value of log Integral ell^r dA over C^s.
 
@@ -607,50 +569,30 @@ def _quadrature_log_integral(profile: EllProfile, r: float, spec: QuadSpec) -> f
     exponential is applied in log space.
     """
     s = profile.s
-    fast = (
-        profile.exact_factor
-        or (profile.mode == CERTIFIED and all(sum(t.power[s:]) == 0 for t in profile.normalization.psi_t.terms))
-        or s == profile.normalization.n
-    )
-    k = spec.resolve_nodes(s) if fast else min(10, spec.resolve_nodes(s))
+    k = spec.resolve_nodes(s) if profile.separable is not None else min(10, spec.resolve_nodes(s))
     t_rule, w_rule = np.polynomial.hermite.hermgauss(k)
 
-    axes_nodes = []
-    axes_logw = []
-    centers = []
-    rates = []
+    axes = []
+    comp = []
+    logw = []
     for i in range(s):
         a = profile.a[i]
         t_i = max((1.0 - a * a) / 2.0, 1e-6)
         rate = r * t_i
         c = profile.w[i] / (2.0 * t_i)
-        centers.append(c)
-        rates.append(rate)
         h = 1.0 / math.sqrt(rate)
-        axes_nodes.append((c.real + t_rule * h, c.imag + t_rule * h))
-        # raw weights here: the recentering exponential is added back in log
-        # space below, so the e^{t^2} compensation must not be pre-applied
-        axes_logw.append(np.log(w_rule) - 0.5 * math.log(rate))
-
-    grids = []
-    for i in range(s):
-        xs, ys = axes_nodes[i]
-        grids.append((xs[:, None] + 1j * ys[None, :]).ravel())
-    logw2d = [(axes_logw[i][:, None] + axes_logw[i][None, :]).ravel() for i in range(s)]
+        axes.append(plane_axis(c.real + t_rule * h, c.imag + t_rule * h))
+        comp.append(rate * np.abs(axes[-1] - c) ** 2)
+        # raw weights here: the recentering exponential comp is added back in
+        # log space below, so the e^{t^2} compensation must not be pre-applied
+        lw = np.log(w_rule) - 0.5 * math.log(rate)
+        logw.append((lw[:, None] + lw[None, :]).ravel())
 
     block_logs = []
-    for rows in grid_blocks([len(g) for g in grids]):
-        mesh = np.meshgrid(grids[0][rows], *grids[1:], indexing="ij")
-        pts = np.stack([m.ravel() for m in mesh], axis=-1)
-        logw = reduce(np.add.outer, [logw2d[0][rows], *logw2d[1:]]).ravel()
-        vals = ell_at_many(profile, pts, spec)
-        with np.errstate(divide="ignore"):
-            logell = np.log(vals)
-        comp = np.zeros(pts.shape[0])
-        for i in range(s):
-            comp += rates[i] * np.abs(pts[:, i] - centers[i]) ** 2
-        block_logs.append(logsumexp(r * logell + comp + logw))
-    return float(logsumexp(block_logs))
+    for rows, logell in _ell_blocks(profile, axes, spec, log=True):
+        terms = r * logell + sum(block_axes(comp, rows)) + sum(block_axes(logw, rows))
+        block_logs.append(_logsumexp(terms.ravel()))
+    return _logsumexp(np.array(block_logs))
 
 
 def _integral_evidence(profile: EllProfile, r: float, spec: QuadSpec) -> bool:
@@ -659,16 +601,11 @@ def _integral_evidence(profile: EllProfile, r: float, spec: QuadSpec) -> bool:
     g = {1: 61, 2: 25, 3: 11}.get(s, 9)
     vals = []
     for radius in (5.0, 8.0):
-        axis = np.linspace(-radius, radius, g)
-        cell = (axis[1] - axis[0]) ** (2 * s)
-        total = 0.0
-        for rows in grid_blocks([g] * (2 * s)):
-            mesh = np.meshgrid(axis[rows], *([axis] * (2 * s - 1)), indexing="ij")
-            flat = np.stack([m.ravel() for m in mesh], axis=-1)
-            pts = flat[:, :s] + 1j * flat[:, s:]
-            inside = np.sum(np.abs(pts) ** 2, axis=1) <= radius * radius
-            ell = ell_at_many(profile, pts[inside], spec)
-            total += float(np.sum(ell**r))
+        line = np.linspace(-radius, radius, g)
+        cell = (line[1] - line[0]) ** (2 * s)
+        axes = [plane_axis(line, line)] * s
+        inside = lambda zs: sum(np.abs(z) ** 2 for z in zs) <= radius * radius  # noqa: E731
+        total = sum(float(np.sum(ell**r)) for _, ell in _ell_blocks(profile, axes, spec, inside))
         vals.append(total * cell)
     if vals[1] <= 0:
         return True

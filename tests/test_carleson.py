@@ -140,15 +140,16 @@ def corpus_09():
 
 
 def record_ell_sizes(monkeypatch):
-    """Patch ``wco.ell_at_many`` to record how many points each call receives."""
+    """Patch ``wco._ell_blocks`` to record how many values of ell each block holds."""
     sizes = []
-    ell_at_many = wco.ell_at_many
+    ell_blocks = wco._ell_blocks
 
-    def recording(profile, points, spec=None):
-        sizes.append(len(points))
-        return ell_at_many(profile, points, spec)
+    def recording(*args, **kwargs):
+        for rows, values in ell_blocks(*args, **kwargs):
+            sizes.append(values.size)
+            yield rows, values
 
-    monkeypatch.setattr(wco, "ell_at_many", recording)
+    monkeypatch.setattr(wco, "_ell_blocks", recording)
     return sizes
 
 

@@ -227,3 +227,72 @@ def test_gh_norm_holds_one_block_at_a_time():
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2**20
+
+
+# -- the tensor-grid evaluator and the sup search ---------------------------------
+
+
+def _random_terms_symbol(n, seed):
+    rng = np.random.default_rng(seed)
+    terms = []
+    for _ in range(3):
+        power = tuple(int(k) for k in rng.integers(0, 3, n))
+        freq = tuple(complex(*rng.uniform(-0.8, 0.8, 2)) for _ in range(n))
+        terms.append(Term(complex(*rng.uniform(-1.0, 1.0, 2)), power, freq))
+    return ExpPoly(n, tuple(terms))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_tensor_values_match_pointwise_evaluation(monkeypatch, n):
+    monkeypatch.setattr(quad, "_GRID_BLOCK", 5)
+    f = _random_terms_symbol(n, 60 + n)
+    rng = np.random.default_rng(70 + n)
+    axes = [rng.normal(size=m) + 1j * rng.normal(size=m) for m in (7, 3, 4, 2)[:n]]
+    seen = 0
+    for rows, got in quad.tensor_values(f, axes):
+        want = f.eval_many(quad.grid_points(axes, rows)).reshape(got.shape)
+        assert got.shape == (rows.stop - rows.start, *[len(z) for z in axes[1:]])
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        seen += got.size
+    assert seen == math.prod(len(z) for z in axes)
+
+
+def test_gh_norm_integrates_every_coordinate():
+    # 1 + z4 on C^4 has the norm of 1 + z on C: the other three coordinates integrate to 1
+    spec = QuadSpec(nodes_per_axis=8, allow_closed_form=False)
+    f4 = constant(4) + monomial(4, (0, 0, 0, 1))
+    f1 = constant(1) + monomial(1, (1,))
+    got, want = fock_norm(f4, 3.0, spec), fock_norm(f1, 3.0, spec)
+    assert got.mode == want.mode == "quadrature"
+    assert abs(got.value - want.value) <= 1e-12 * want.value
+
+
+def _brute_force_sup(f, radius, g, rounds):
+    """Max of |f(z)| e^{-|z|^2/2} on a g^(2n) grid over [-radius, radius]^(2n), then ``rounds - 1``
+    times on a finer g^(2n) grid spanning two cells around the best point so far."""
+    n = f.n
+    center, half = np.zeros(2 * n), radius
+    for _ in range(rounds):
+        axes = [np.linspace(c - half, c + half, g) for c in center]
+        pts = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=-1)
+        z = pts[:, :n] + 1j * pts[:, n:]
+        vals = np.abs(f.eval_many(z)) * np.exp(-np.sum(np.abs(z) ** 2, axis=1) / 2.0)
+        best = int(np.argmax(vals))
+        center, half = pts[best], 2.0 * half / (g - 1)
+    return float(vals[best])
+
+
+@pytest.mark.parametrize(
+    "f, g, rounds",
+    [
+        (kernel([0.8 - 0.3j]) + monomial(1, (2,), coeff=0.5j), 401, 2),
+        (kernel([0.6, -0.4j]) + monomial(2, (1, 1), coeff=0.7), 31, 4),
+    ],
+)
+def test_numeric_sup_norm_matches_brute_force(f, g, rounds):
+    # two terms: no closed form, so the grid search and its polish run
+    r = fock_sup_norm(f)
+    want = _brute_force_sup(f, 5.0, g, rounds)
+    assert r.mode == "quadrature"
+    assert want - 1e-12 <= r.value <= want * (1.0 + 1e-6)
+    assert r.err_estimate >= 0.0

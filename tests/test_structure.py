@@ -3,7 +3,7 @@
 No module imports an underscore name from another fockop module, no function
 body imports a fockop module (a lazy import is how a cycle hides), and the
 imports between fockop modules form no cycle; the package exports names, not
-modules.
+modules; and only ``quad`` builds meshgrids or runs a local optimizer.
 """
 import ast
 import importlib
@@ -130,3 +130,19 @@ def test_package_exports_no_modules():
     assert "fock_norm" in fockop.__all__ and "analyze" in fockop.__all__
     modules = [name for name in fockop.__all__ if isinstance(getattr(fockop, name), types.ModuleType)]
     assert not modules, modules
+
+
+def test_grid_order_and_sup_search_live_in_quad():
+    """Only quad builds meshgrids and runs the local sup search, so point order and polish have one home."""
+    bad = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "quad.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            names = []
+            if isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, ast.ImportFrom):
+                names = [alias.name for alias in node.names]
+            bad += [f"{path.name}:{node.lineno} uses {name}" for name in names if name in ("meshgrid", "minimize")]
+    assert not bad, bad

@@ -15,8 +15,9 @@ import numpy as np
 import pytest
 
 from fockop.errors import DomainError, UnsupportedExponentsError
-from fockop.funcspace import AffineMap, constant, kernel, monomial
+from fockop.funcspace import AffineMap, ExpPoly, Term, constant, kernel, monomial
 from fockop.linalg import is_unitary
+from fockop.quad import slice_norm
 from fockop.wco import (
     WcoProblem,
     alternative_normalization,
@@ -112,14 +113,36 @@ def test_closed_form_sup_matches_grid_max_1d():
     assert ell_sup(pf).value >= max(vals) - 1e-12
 
 
+FREQ = (0.3 - 0.1j, -0.2j)
+
+#: (psi, diag(A), single term) for each separable form of ell
+SEPARABLE_CASES = [
+    # one term: ell factors exactly
+    (kernel([0.2, -0.1]), [0.8, 0.6], True),
+    # certified multi-term at full rank
+    (ExpPoly(2, (Term(1.0, (0, 0), FREQ), Term(0.5j, (1, 1), FREQ))), [0.8, 0.6], False),
+    # one common frequency, head monomials only, rank 1 < n
+    (ExpPoly(2, (Term(1.0, (0, 0), FREQ), Term(-0.4, (2, 0), FREQ))), [0.7, 0.0], False),
+    # two frequencies at full rank
+    (kernel([0.3, -0.2]) + kernel([-0.4j, 0.1]), [0.8, 0.6], False),
+]
+
+
 def test_full_rank_profile_equals_distortion_pointwise():
-    prob = WcoProblem(kernel([0.2, -0.1]), AffineMap(np.diag([0.8, 0.6]), [0.1, 0.2j]), 2.0, 3.0)
-    nz = normalize(prob)
-    pf = ell_profile(nz, 3.0)
+    """ell(z) = exp((|phi_t(z)|^2 - |z|^2)/2) ||psi_t(z, .)||_q for each separable form of ell."""
     rng = np.random.default_rng(2)
-    for _ in range(10):
-        z = rng.normal(size=2) + 1j * rng.normal(size=2)
-        assert ell_at(pf, z) == pytest.approx(m_at(nz.psi_t, nz.phi_t, z), rel=1e-11)
+    for psi, diag, exact in SEPARABLE_CASES:
+        nz = normalize(WcoProblem(psi, AffineMap(np.diag(diag), [0.1, 0.2j]), 2.0, 3.0))
+        pf = ell_profile(nz, 3.0)
+        assert pf.separable is not None and pf.exact_factor == exact
+        s = pf.s
+        for _ in range(10):
+            z = np.zeros(2, dtype=complex)
+            z[:s] = rng.normal(size=s) + 1j * rng.normal(size=s)
+            img = nz.phi_t.apply(z)
+            slice_q = slice_norm(nz.psi_t, 3.0, z[:s]).value
+            want = math.exp((np.sum(np.abs(img) ** 2) - np.sum(np.abs(z) ** 2)) / 2.0) * slice_q
+            assert ell_at(pf, z[:s]) == pytest.approx(want, rel=1e-11)
 
 
 # -- classification -----------------------------------------------------------
