@@ -4,25 +4,29 @@ The rotated operator induces the measure on C^s (s = rank of the map)
 
     mu(E) = (q/2pi)^s  Integral_{phi_s^{-1}(E)}  ||psi_t(z, .)||_q^q  e^{-q|z|^2/2} dA(z)
 
-This module integrates against it: the mass of balls (``pullback_mass``) and
-the Berezin-type transform (``berezin_transform``).  For q < p the operator
-is bounded iff compact iff ell is in L^r(C^s), r = pq/(p-q), and the norm is
-comparable to ||ell||_{L^r}; that integral lives in ``wco`` beside the other
-ell statistics and is re-exported here as ``carleson_integral``.
+whose density is ell read at the power q: by the definition of ell in ``wco``,
+
+    ||psi_t(z, .)||_q^q  e^{-q|z|^2/2}  =  ell(z)^q  e^{-q|phi_t(z)|^2/2}.
+
+This module integrates against mu: the mass of balls (``pullback_mass``) and
+the Berezin-type transform (``berezin_transform``), each one call of
+``wco.ell_log_integral``, the Gauss-Hermite integral of ell that also gives
+||ell||_{L^r}.  For q < p the operator is bounded iff compact iff ell is in
+L^r(C^s), r = pq/(p-q), and the norm is comparable to ||ell||_{L^r}; that
+integral lives in ``wco`` beside the other ell statistics and is re-exported
+here as ``carleson_integral``.
 """
 from __future__ import annotations
 
 import math
-from functools import reduce
 
 import numpy as np
 
 from .errors import DomainError
 from .funcspace import AffineMap, ExpPoly, Term, compose_affine, multiply
 from .linalg import as_cvector
-from .quad import DEFAULT_SPEC, QuadSpec, coordinate_grid, fock_norm, grid_blocks, grid_points, single_term_norm
-from .quad import slice_norm
-from .wco import CarlesonReport, Normalization, carleson_integral
+from .quad import DEFAULT_SPEC, QuadSpec, fock_norm
+from .wco import CarlesonReport, Normalization, carleson_integral, ell_log_integral, ell_profile
 
 __all__ = ["CarlesonReport", "carleson_integral", "pullback_mass", "berezin_transform"]
 
@@ -30,58 +34,26 @@ __all__ = ["CarlesonReport", "carleson_integral", "pullback_mass", "berezin_tran
 # -- measure-side quadrature --------------------------------------------------
 
 
-def _slice_norm_values(norm: Normalization, q: float, pts: np.ndarray, spec: QuadSpec) -> np.ndarray:
-    """||psi_t(z, .)||_q at many head points, vectorized where possible."""
-    s = pts.shape[1]
-    n = norm.n
-    if s == n:
-        return np.abs(norm.psi_t.eval_many(pts))
-    common = norm.psi_t.common_frequency()
-    if common is not None and all(sum(t.power[s:]) == 0 for t in norm.psi_t.terms):
-        c = np.array(common, dtype=complex)
-        tail_const = single_term_norm(1.0 + 0j, (0,) * (n - s), tuple(c[s:]), q)
-        head = ExpPoly(s, tuple(Term(t.coeff, t.power[:s], tuple(c[:s])) for t in norm.psi_t.terms))
-        return np.abs(head.eval_many(pts)) * tail_const
-    out = np.empty(pts.shape[0])
-    small = QuadSpec(nodes_per_axis=max(10, min(16, spec.resolve_nodes(n - s))))
-    for j in range(pts.shape[0]):
-        out[j] = slice_norm(norm.psi_t, q, pts[j], small).value
-    return out
+def _measure_quadrature(norm: Normalization, q: float, log_weight, spec: QuadSpec) -> float:
+    """Integral of weight(u) d mu(u) = (q/2pi)^s Integral weight(phi_s(z)) ell(z)^q e^{-q|phi_t(z)|^2/2} dA(z).
 
+    ``log_weight`` maps the per-axis image coordinates a_i z_i + b_i of a
+    quadrature block to log weight(phi_s(z)), broadcasting over the block
+    (-inf where the weight is zero).  Each coordinate is integrated at rate
+    q/2 around its head frequency.
+    """
+    profile = ell_profile(norm, q)
+    s = profile.s
+    a, b = norm.diag[:s], norm.b_t[:s]
+    centers = [w - a_i * b_i for w, a_i, b_i in zip(profile.w, a, b)]
+    tail_sq = float(np.sum(np.abs(norm.b_t[s:]) ** 2))
 
-def _measure_quadrature(norm: Normalization, q: float, weight_fn, spec: QuadSpec) -> float:
-    """(q/2pi)^s Integral weight(phi_s(z)) ||psi_t(z,.)||_q^q e^{-q|z|^2/2} dA(z)."""
-    s = norm.rank_s
-    if s == 0:
-        raise DomainError("rank-zero maps carry a point mass; integrate directly")
-    common = norm.psi_t.common_frequency()
-    if common is not None:
-        center = np.array(common[:s], dtype=complex)
-    else:
-        weights = np.array([abs(t.coeff) for t in norm.psi_t.terms])
-        freqs = np.array([t.freq[:s] for t in norm.psi_t.terms], dtype=complex)
-        center = (weights[:, None] * freqs).sum(axis=0) / weights.sum()
+    def log_density(zs):
+        img = [a_i * z + b_i for z, a_i, b_i in zip(zs, a, b)]
+        return log_weight(img) - (q / 2.0) * (sum(np.abs(u) ** 2 for u in img) + tail_sq)
 
-    fast = common is not None or s == norm.n
-    k = spec.resolve_nodes(s) if fast else min(10, spec.resolve_nodes(s))
-    grids = []
-    qweights = []
-    for i in range(s):
-        z, qw = coordinate_grid(complex(center[i]), q, k)
-        grids.append(z)
-        qweights.append(qw)
-
-    total = 0.0
-    for rows in grid_blocks([len(z) for z in grids]):
-        pts = grid_points(grids, rows)
-        wtot = reduce(np.multiply.outer, [qweights[0][rows], *qweights[1:]]).ravel()
-        img = pts * norm.diag[np.newaxis, :s] + norm.b_t[np.newaxis, :s]
-        weight_vals = weight_fn(img)
-        mask = weight_vals != 0.0
-        if np.any(mask):
-            slice_vals = _slice_norm_values(norm, q, pts[mask], spec)
-            total += float(np.sum(wtot[mask] * weight_vals[mask] * slice_vals**q))
-    return total
+    log_i = ell_log_integral(profile, q, centers, [q / 2.0] * s, spec, log_density)
+    return math.exp(s * math.log(q / (2.0 * math.pi)) + log_i)
 
 
 def pullback_mass(norm: Normalization, q: float, center, radius: float, spec: QuadSpec | None = None) -> float:
@@ -91,11 +63,11 @@ def pullback_mass(norm: Normalization, q: float, center, radius: float, spec: Qu
     if not (radius > 0 and math.isfinite(radius)):
         raise DomainError("radius must be positive and finite")
 
-    def indicator(img: np.ndarray) -> np.ndarray:
-        d2 = np.sum(np.abs(img - c[np.newaxis, :]) ** 2, axis=1)
-        return (d2 <= radius * radius).astype(float)
+    def log_indicator(img):
+        d2 = sum(np.abs(u - c_i) ** 2 for u, c_i in zip(img, c))
+        return np.where(d2 <= radius * radius, 0.0, -np.inf)
 
-    return _measure_quadrature(norm, q, indicator, spec)
+    return _measure_quadrature(norm, q, log_indicator, spec)
 
 
 def berezin_transform(norm: Normalization, q: float, w_head, spec: QuadSpec | None = None, method: str = "identity") -> float:
@@ -113,12 +85,12 @@ def berezin_transform(norm: Normalization, q: float, w_head, spec: QuadSpec | No
 
     if method == "direct":
 
-        def kq(img: np.ndarray) -> np.ndarray:
+        def log_kq(img):
             # |k_w(u)|^q = exp(q Re<u, w> - q|w|^2/2)
-            re = np.real(img @ np.conj(w))
-            return np.exp(q * (re - float(np.sum(np.abs(w) ** 2)) / 2.0))
+            re = sum(np.real(u * np.conj(w_i)) for u, w_i in zip(img, w))
+            return q * (re - float(np.sum(np.abs(w) ** 2)) / 2.0)
 
-        return _measure_quadrature(norm, q, kq, spec)
+        return _measure_quadrature(norm, q, log_kq, spec)
     if method != "identity":
         raise DomainError(f"unknown berezin method {method!r}")
 

@@ -167,15 +167,19 @@ def load_problem(path: Path) -> LoadedProblem:
     return loaded
 
 
-def load_corpus(root: Path) -> list[LoadedProblem]:
+def _corpus_files(root: Path) -> list[Path]:
     if root.is_file():
-        return [load_problem(root)]
+        return [root]
     if not root.is_dir():
         raise ProblemFileError(f"{root}: not a file or directory")
     files = sorted(root.glob("*.json"))
     if not files:
         raise ProblemFileError(f"{root}: no *.json problem files found")
-    return [load_problem(f) for f in files]
+    return files
+
+
+def load_corpus(root: Path) -> list[LoadedProblem]:
+    return [load_problem(f) for f in _corpus_files(root)]
 
 
 # -- report encoding ----------------------------------------------------------
@@ -431,11 +435,14 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "verify":
-            corpus = [
-                _apply_overrides(item, args) for item in load_corpus(args.path)
-            ]
+            files = _corpus_files(args.path)
+            corpus = [_apply_overrides(load_problem(f), args) for f in files]
+            # the suites run every problem with one spec, so every file must resolve to it
+            spec = corpus[0].quad
+            for f, item in zip(files, corpus):
+                if item.quad != spec:
+                    raise ProblemFileError(f"{f}: its quad block resolves to other settings than {files[0]}'s")
             problems = [(item.label, item.problem) for item in corpus]
-            spec = corpus[0].quad if corpus else DEFAULT_SPEC
             results = run_suites(
                 problems,
                 suite=args.suite,

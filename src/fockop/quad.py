@@ -14,14 +14,15 @@ mean frequency, which also runs at p = 2 when ``allow_closed_form=False`` and
 serves there as the cross-check.  A Monte Carlo mode is kept for loose
 cross-checks.
 
-A tensor-product grid over several complex axes (here and in ``carleson`` and
-``wco``) is never built whole: ``grid_blocks`` splits its points, in the
-row-major order of ``np.meshgrid(..., indexing="ij")``, into blocks of whole
-rows of the first axis holding at most ``max(_GRID_BLOCK, product of the other
-axis sizes)`` points, and the sums run block by block.  ``tensor_values``
-evaluates a symbol on each block from per-axis factor tables, for any number
-of axes; ``grid_points`` stacks a block's points for integrands that are not
-separable.  ``tensor_sup`` is the one grid-plus-local-search maximizer.
+A tensor-product grid over several complex axes (here and in ``wco``) is
+never built whole: ``grid_blocks`` splits its points, in the row-major order
+of ``np.meshgrid(..., indexing="ij")``, into blocks of whole rows of the first
+axis holding at most ``max(_GRID_BLOCK, product of the other axis sizes)``
+points, and the sums run block by block.  ``tensor_values`` evaluates a
+symbol on each block from per-axis factor tables, for any number of axes;
+``grid_points`` stacks a block's points for the slice-norm fallback of ell in
+``wco``, the one integrand that is not separable.  ``tensor_sup`` is the one
+grid-plus-local-search maximizer.
 """
 from __future__ import annotations
 
@@ -248,8 +249,17 @@ def _f2_norm(f: ExpPoly) -> NormResult:
 
 
 @lru_cache(maxsize=64)
-def _gh_rule(k: int) -> tuple[np.ndarray, np.ndarray]:
+def hermite_rule(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The k-node Gauss-Hermite nodes and weights for Integral g(t) e^{-t^2} dt (cached, read-only)."""
     t, w = np.polynomial.hermite.hermgauss(k)
+    t.setflags(write=False)
+    w.setflags(write=False)
+    return t, w
+
+
+@lru_cache(maxsize=64)
+def _gh_rule(k: int) -> tuple[np.ndarray, np.ndarray]:
+    t, w = hermite_rule(k)
     # w * exp(t^2) stays O(1); compute it in log space to dodge overflow.
     wn = np.exp(np.log(w) + t * t)
     return t, wn

@@ -15,8 +15,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -436,16 +434,6 @@ _SUITES: dict[str, Callable[..., list[PropertyResult]]] = {
 }
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("FOCKOP_THREADS", "").strip()
-    if not raw:
-        return 1
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def run_suites(
     problems: Sequence[tuple[str, WcoProblem]],
     suite: str = "all",
@@ -467,13 +455,7 @@ def run_suites(
             return fn(problems, seed=seed, count=lemma_count, spec=spec)
         return fn(problems, spec=spec)
 
-    workers = _worker_count()
-    if workers > 1 and len(names) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            chunks = list(ex.map(run_one, names))
-    else:
-        chunks = [run_one(name) for name in names]
-    return [res for chunk in chunks for res in chunk]
+    return [res for name in names for res in run_one(name)]
 
 
 def format_results(results: Sequence[PropertyResult]) -> str:

@@ -25,7 +25,9 @@ reported as evidence, never as a certificate.
 
 Except on a rank < n map whose symbol has several frequencies or tail
 monomials (one slice norm per point there), ell is separable (``SeparableEll``)
-and its grids are evaluated with ``quad.tensor_values``.
+and its grids are evaluated with ``quad.tensor_values``.  ``ell_log_integral``
+is the one Gauss-Hermite integral of ell: its L^r norm here, and the pullback
+measure of ``carleson``, whose density is ell^q e^{-q|phi_t|^2/2}.
 
 ``analyze`` runs the pipeline once per problem: its ``Analysis`` computes
 each step, the verdict and the bounds at most once, when first read.
@@ -44,7 +46,7 @@ from .errors import DimensionError, DomainError, UnsupportedExponentsError
 from .funcspace import AffineMap, ExpPoly, Term, compose_affine
 from .linalg import as_cvector, svd
 from .quad import DEFAULT_SPEC, NormResult, QuadSpec, block_axes, factor_argmax, factor_log_max, fock_norm, grid_blocks
-from .quad import grid_points, plane_axis, single_term_norm, slice_norm, tensor_sup, tensor_values
+from .quad import grid_points, hermite_rule, plane_axis, single_term_norm, slice_norm, tensor_sup, tensor_values
 
 __all__ = [
     "WcoProblem",
@@ -70,6 +72,7 @@ __all__ = [
     "norm_bounds",
     "essential_norm_bounds",
     "carleson_integral",
+    "ell_log_integral",
     "composition_criterion",
 ]
 
@@ -561,25 +564,25 @@ def _logsumexp(a: np.ndarray) -> float:
     return float(top + np.log(np.sum(np.exp(a - top)))) if np.isfinite(top) else float(top)
 
 
-def _quadrature_log_integral(profile: EllProfile, r: float, spec: QuadSpec) -> float:
-    """Gauss-Hermite value of log Integral ell^r dA over C^s.
+def ell_log_integral(
+    profile: EllProfile, power: float, centers: Sequence[complex], rates: Sequence[float], spec: QuadSpec, log_weight=None
+) -> float:
+    """Gauss-Hermite value of log Integral ell^power e^{log_weight} dA over C^s.
 
-    Each coordinate is integrated against its own Gaussian rate r*(1-a^2)/2
-    centered at the per-coordinate drift maximizer; the compensating
-    exponential is applied in log space.
+    Coordinate i is integrated against the Gaussian exp(-rates[i] |z - centers[i]|^2),
+    whose compensating exponential is applied in log space.  ``log_weight``
+    maps the per-axis head coordinates of a block (``block_axes``) to values
+    broadcasting over it; -inf marks a point of zero weight, which the
+    slice-norm fallback of ell does not evaluate.
     """
     s = profile.s
     k = spec.resolve_nodes(s) if profile.separable is not None else min(10, spec.resolve_nodes(s))
-    t_rule, w_rule = np.polynomial.hermite.hermgauss(k)
+    t_rule, w_rule = hermite_rule(k)
 
     axes = []
     comp = []
     logw = []
-    for i in range(s):
-        a = profile.a[i]
-        t_i = max((1.0 - a * a) / 2.0, 1e-6)
-        rate = r * t_i
-        c = profile.w[i] / (2.0 * t_i)
+    for c, rate in zip(centers, rates):
         h = 1.0 / math.sqrt(rate)
         axes.append(plane_axis(c.real + t_rule * h, c.imag + t_rule * h))
         comp.append(rate * np.abs(axes[-1] - c) ** 2)
@@ -588,11 +591,30 @@ def _quadrature_log_integral(profile: EllProfile, r: float, spec: QuadSpec) -> f
         lw = np.log(w_rule) - 0.5 * math.log(rate)
         logw.append((lw[:, None] + lw[None, :]).ravel())
 
+    where = None
+    if log_weight is not None and profile.separable is None:
+        where = lambda zs: np.isfinite(log_weight(zs))  # noqa: E731
     block_logs = []
-    for rows, logell in _ell_blocks(profile, axes, spec, log=True):
-        terms = r * logell + sum(block_axes(comp, rows)) + sum(block_axes(logw, rows))
-        block_logs.append(_logsumexp(terms.ravel()))
+    for rows, logell in _ell_blocks(profile, axes, spec, where, log=True):
+        parts = [sum(block_axes(comp, rows)), sum(block_axes(logw, rows))]
+        if log_weight is not None:
+            parts.append(np.broadcast_to(log_weight(block_axes(axes, rows)), parts[0].shape))
+        if where is not None:
+            # ell came flat, at the points of nonzero weight only
+            keep = np.isfinite(parts[-1])
+            parts = [part[keep] for part in parts]
+        terms = power * logell
+        for part in parts:
+            terms = terms + part
+        block_logs.append(_logsumexp(terms.ravel()) if terms.size else -math.inf)
     return _logsumexp(np.array(block_logs))
+
+
+def _lr_log_integral(profile: EllProfile, r: float, spec: QuadSpec) -> float:
+    """log Integral ell^r dA, each coordinate at rate r*(1-a^2)/2 centered at its drift maximizer."""
+    ts = [max((1.0 - a * a) / 2.0, 1e-6) for a in profile.a]
+    centers = [w / (2.0 * t) for w, t in zip(profile.w, ts)]
+    return ell_log_integral(profile, r, centers, [r * t for t in ts], spec)
 
 
 def _integral_evidence(profile: EllProfile, r: float, spec: QuadSpec) -> bool:
@@ -628,9 +650,9 @@ def _lr_report(profile: EllProfile, r: float, spec: QuadSpec, member: bool) -> C
         if profile.exact_factor and spec.allow_closed_form:
             log_i = _closed_form_log_integral(profile, r)
             return CarlesonReport(r, NormResult(math.exp(log_i / r), "closed_form", 0.0), True, CERTIFIED)
-        log_i = _quadrature_log_integral(profile, r, spec)
+        log_i = _lr_log_integral(profile, r, spec)
         k = spec.resolve_nodes(profile.s)
-        log_i2 = _quadrature_log_integral(
+        log_i2 = _lr_log_integral(
             profile, r, QuadSpec(nodes_per_axis=max(8, k // 2), allow_closed_form=spec.allow_closed_form)
         )
         value = math.exp(log_i / r)
@@ -639,7 +661,7 @@ def _lr_report(profile: EllProfile, r: float, spec: QuadSpec, member: bool) -> C
 
     if not member:
         return CarlesonReport(r, NormResult(math.inf, "quadrature", math.inf), False, NUMERIC_EVIDENCE)
-    log_i = _quadrature_log_integral(profile, r, spec)
+    log_i = _lr_log_integral(profile, r, spec)
     value = math.exp(log_i / r)
     return CarlesonReport(r, NormResult(value, "quadrature", 0.05 * value), True, NUMERIC_EVIDENCE)
 

@@ -13,11 +13,11 @@ import math
 import numpy as np
 import pytest
 
-from fockop import quad, wco
+from fockop import carleson, quad, wco
 from fockop.carleson import berezin_transform, carleson_integral, pullback_mass
 from fockop.cli import load_problem
 from fockop.errors import DomainError
-from fockop.funcspace import AffineMap, constant, kernel
+from fockop.funcspace import AffineMap, ExpPoly, Term, constant, kernel
 from fockop.quad import QuadSpec
 from fockop.wco import WcoProblem, analyze, ell_profile, normalize
 from helpers import corpus_path
@@ -132,6 +132,52 @@ def test_berezin_decays_for_compact_symbol():
     assert vals[-1] < 1e-3 * vals[0]
 
 
+def tail_monomial_problem(sigma, u, b):
+    """A diagonal map of rank < n and the weight z_n e^{<z,u>}: one term, its monomial in the tail."""
+    n = len(sigma)
+    psi = ExpPoly(n, (Term(1.0 + 0j, (0,) * (n - 1) + (1,), tuple(complex(x) for x in u)),))
+    return WcoProblem(psi, AffineMap(np.diag(sigma).astype(complex), b), 4.0, 2.0)
+
+
+@pytest.mark.parametrize(
+    "sigma,u,b",
+    [((0.6, 0.0), (0.3, 0.2j), (0.1, 0.2)), ((0.6, 0.5, 0.0), (0.3, 0.2j, 0.1), (0.1, -0.2j, 0.3))],
+    ids=["n2-rank1", "n3-rank2"],
+)
+def test_measure_of_a_tail_monomial_weight_needs_no_slice_norms(monkeypatch, sigma, u, b):
+    # a single term makes ell exact (closed-form tail norm), so the measure never calls slice_norm
+    nz = normalize(tail_monomial_problem(sigma, u, b))
+    assert nz.rank_s == len(sigma) - 1
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("slice_norm called")
+
+    for module in (quad, wco, carleson):
+        monkeypatch.setattr(module, "slice_norm", refuse, raising=False)
+    w0 = np.zeros(nz.rank_s, dtype=complex)
+    masses = [pullback_mass(nz, 2.0, w0, radius) for radius in (2.0, 4.0)]
+    assert 0.0 < masses[0] <= masses[1]
+    for w in (w0, np.full(nz.rank_s, 0.5 - 0.25j)):
+        exact = berezin_transform(nz, 2.0, w, method="identity")
+        assert berezin_transform(nz, 2.0, w, method="direct") == pytest.approx(exact, rel=1e-9)
+
+
+def test_measure_on_the_slice_norm_fallback_skips_points_of_zero_weight(monkeypatch):
+    # two frequencies on a rank-1 map of C^2: ell needs one slice norm per point
+    psi = ExpPoly(2, (Term(1.0 + 0j, (0, 0), (0.3, 0.2j)), Term(0.5 + 0j, (0, 1), (-0.2, 0.1))))
+    nz = normalize(WcoProblem(psi, AffineMap(np.diag([0.6, 0.0]).astype(complex), [0.1, 0.2]), 4.0, 2.0))
+    assert ell_profile(nz, 2.0).separable is None
+    calls = []
+    slice_norm = wco.slice_norm
+    monkeypatch.setattr(wco, "slice_norm", lambda *args: calls.append(1) or slice_norm(*args))
+    small, large = (pullback_mass(nz, 2.0, [0.1], radius) for radius in (0.5, 4.0))
+    assert 0 < len(calls) < 2 * 10**2  # the capped rule has 10^2 nodes; the small ball holds few
+    assert 0.0 < small < large
+    w = [0.2]
+    exact = berezin_transform(nz, 2.0, w, method="identity")
+    assert berezin_transform(nz, 2.0, w, method="direct") == pytest.approx(exact, rel=1e-9)
+
+
 # -- block-by-block quadrature ---------------------------------------------------
 
 
@@ -157,7 +203,7 @@ def test_log_integral_feeds_ell_one_block_at_a_time(monkeypatch):
     # corpus 09 has rank 2: its 40^2 x 40^2 rule has 2,560,000 points
     an = corpus_09()
     sizes = record_ell_sizes(monkeypatch)
-    wco._quadrature_log_integral(an.profile, 4.0, FORCE_QUAD)
+    wco._lr_log_integral(an.profile, 4.0, FORCE_QUAD)
     assert sum(sizes) == 40**4
     assert max(sizes) <= max(quad._GRID_BLOCK, 40**2)
 
@@ -178,7 +224,7 @@ def test_measure_sums_do_not_depend_on_the_block(monkeypatch):
 
     def sums():
         mass = pullback_mass(an.normalization, 2.0, [0.1, -0.2j], 2.0, spec)
-        log_i = wco._quadrature_log_integral(an.profile, 4.0, spec)
+        log_i = wco._lr_log_integral(an.profile, 4.0, spec)
         return mass, log_i
 
     mass, log_i = sums()

@@ -3,7 +3,8 @@
 No module imports an underscore name from another fockop module, no function
 body imports a fockop module (a lazy import is how a cycle hides), and the
 imports between fockop modules form no cycle; the package exports names, not
-modules; and only ``quad`` builds meshgrids or runs a local optimizer.
+modules; only ``quad`` builds meshgrids or runs a local optimizer; and only
+``quad`` and ``wco`` evaluate slice norms or stack grid points.
 """
 import ast
 import importlib
@@ -145,4 +146,22 @@ def test_grid_order_and_sup_search_live_in_quad():
             elif isinstance(node, ast.ImportFrom):
                 names = [alias.name for alias in node.names]
             bad += [f"{path.name}:{node.lineno} uses {name}" for name in names if name in ("meshgrid", "minimize")]
+    assert not bad, bad
+
+
+def test_ell_and_slice_norms_are_evaluated_only_in_wco():
+    """Only quad and wco name slice_norm or grid_points, so ell has one evaluator (the package re-exports slice_norm)."""
+    bad = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name in ("quad.py", "wco.py", "__init__.py"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            names = []
+            if isinstance(node, ast.Name):
+                names = [node.id]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, ast.ImportFrom):
+                names = [alias.name for alias in node.names]
+            bad += [f"{path.name}:{node.lineno} uses {name}" for name in names if name in ("slice_norm", "grid_points")]
     assert not bad, bad

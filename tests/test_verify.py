@@ -42,15 +42,6 @@ def test_property_result_line_format():
     assert "w=3" in text
 
 
-def test_run_suites_order_is_stable_under_threads(monkeypatch):
-    problems = [(l, p) for l, p in corpus_problems()[:4]]
-    monkeypatch.setenv("FOCKOP_THREADS", "3")
-    with_threads = run_suites(problems, suite="witness", lemma_count=4)
-    monkeypatch.setenv("FOCKOP_THREADS", "1")
-    serial = run_suites(problems, suite="witness", lemma_count=4)
-    assert [r.line() for r in with_threads] == [r.line() for r in serial]
-
-
 def test_single_suite_selection():
     problems = corpus_problems()[:3]
     only = run_suites(problems, suite="lemmas", lemma_count=4)
