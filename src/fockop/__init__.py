@@ -66,7 +66,6 @@ from .oracle import (
     compactness_witness,
     f2_inner,
     f2_matrix,
-    f2_norm,
     rayleigh_sweep,
     truncated_essential_upper,
     truncated_norm,

@@ -28,8 +28,8 @@ from .errors import (
     UnsupportedExponentsError,
 )
 from .funcspace import AffineMap, ExpPoly, Term
-from .oracle import TruncationSpec, f2_matrix, rayleigh_sweep, truncated_essential_upper, truncated_norm
-from .quad import DEFAULT_SPEC, NormResult, QuadSpec
+from .oracle import BASIS_CAP, TruncationSpec, f2_matrix, rayleigh_sweep, truncated_essential_upper, truncated_norm
+from .quad import DEFAULT_SPEC, MIN_NODES, NormResult, QuadSpec
 from .verify import SUITE_NAMES, format_results, run_suites
 from .wco import UNBOUNDED, Analysis, WcoProblem, analyze
 
@@ -41,13 +41,14 @@ EXIT_BAD_FILE = 2
 EXIT_UNBOUNDED = 3
 EXIT_UNSUPPORTED = 4
 
+#: the keys of a problem file's ``quad`` block: each one's type and, for
+#: integers, its least value (``--quad-nodes`` and ``--seed`` share them)
 _QUAD_OVERRIDE_KEYS = {
-    "nodes_per_axis": int,
-    "samples": int,
-    "seed": int,
-    "sup_radius": float,
-    "refine_iters": int,
-    "allow_closed_form": bool,
+    "nodes_per_axis": (int, MIN_NODES),
+    "seed": (int, 1),
+    "sup_radius": (float, None),
+    "refine_iters": (int, 0),
+    "allow_closed_form": (bool, None),
 }
 
 
@@ -83,6 +84,17 @@ def _int(v, where: str, lo: int | None = None) -> int:
     if lo is not None:
         _expect(v >= lo, where, f"expected an integer >= {lo}")
     return v
+
+
+def _quad_value(key: str, value, at: str):
+    """``value`` for the quadrature setting ``key``, checked against its entry in ``_QUAD_OVERRIDE_KEYS``."""
+    want, lo = _QUAD_OVERRIDE_KEYS[key]
+    if want is bool:
+        _expect(isinstance(value, bool), at, "expected a boolean")
+        return value
+    if want is int:
+        return _int(value, at, lo=lo)
+    return _real(value, at)
 
 
 def parse_problem(data, where: str = "problem") -> LoadedProblem:
@@ -129,17 +141,7 @@ def parse_problem(data, where: str = "problem") -> LoadedProblem:
         _expect(isinstance(raw_quad, dict), where + ".quad", "expected an object")
         unknown = sorted(set(raw_quad) - set(_QUAD_OVERRIDE_KEYS))
         _expect(not unknown, where + ".quad", f"unknown keys {unknown}")
-        fields = {}
-        for key, value in raw_quad.items():
-            at = f"{where}.quad.{key}"
-            want = _QUAD_OVERRIDE_KEYS[key]
-            if want is bool:
-                _expect(isinstance(value, bool), at, "expected a boolean")
-                fields[key] = value
-            elif want is int:
-                fields[key] = _int(value, at, lo=0 if key == "refine_iters" else 1)
-            else:
-                fields[key] = _real(value, at)
+        fields = {key: _quad_value(key, value, f"{where}.quad.{key}") for key, value in raw_quad.items()}
         quad = dataclasses.replace(quad, **fields)
 
     label = data.get("label", "")
@@ -223,12 +225,9 @@ def _encode_problem(loaded: LoadedProblem) -> dict:
 
 def _encode_quad(spec: QuadSpec, n: int) -> dict:
     return {
-        "method": spec.method,
         "nodes_per_axis": spec.resolve_nodes(n),
-        "samples": spec.samples,
         "seed": spec.seed,
         "sup_radius": None if spec.sup_radius is None else float(spec.sup_radius),
-        "sup_grid": spec.resolve_sup_grid(n),
         "refine_iters": spec.refine_iters,
         "allow_closed_form": spec.allow_closed_form,
     }
@@ -312,6 +311,10 @@ def cmd_essnorm(loaded: LoadedProblem) -> dict:
 
 
 def cmd_oracle(loaded: LoadedProblem, max_degree: int = 10) -> dict:
+    n, at = loaded.problem.n, f"--max-degree {max_degree}"
+    _expect(max_degree >= 0, at, "expected an integer >= 0")
+    size = math.comb(n + max_degree, n)
+    _expect(size <= BASIS_CAP, at, f"the basis in {n} variables has {size} monomials, above the cap {BASIS_CAP}")
     an = analyze(loaded.problem, loaded.quad)
     report = _report_base("oracle", loaded)
     section = _classification_section(an)
@@ -424,10 +427,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _apply_overrides(loaded: LoadedProblem, args) -> LoadedProblem:
     spec = loaded.quad
-    if args.quad_nodes is not None:
-        spec = dataclasses.replace(spec, nodes_per_axis=args.quad_nodes)
-    if args.seed is not None:
-        spec = dataclasses.replace(spec, seed=args.seed)
+    for key, value, flag in (("nodes_per_axis", args.quad_nodes, "--quad-nodes"), ("seed", args.seed, "--seed")):
+        if value is not None:
+            spec = dataclasses.replace(spec, **{key: _quad_value(key, value, flag)})
     return dataclasses.replace(loaded, quad=spec)
 
 

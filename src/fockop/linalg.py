@@ -113,11 +113,11 @@ def _column_key(col: np.ndarray) -> tuple:
     return tuple(parts)
 
 
-def svd(A, rank_tol: float = RANK_TOL, unit_tol: float = UNIT_SNAP_TOL) -> SvdTriple:
+def svd(A) -> SvdTriple:
     """Deterministic SVD in the convention ``A = V @ diag(sigma) @ U``.
 
-    Singular values within ``unit_tol`` of 1 are snapped to exactly 1 and
-    values below ``rank_tol`` (relative to max(sigma[0], 1)) are snapped to 0.
+    Singular values within ``UNIT_SNAP_TOL`` of 1 are snapped to exactly 1 and
+    values below ``RANK_TOL`` (relative to max(sigma[0], 1)) are snapped to 0.
     Within groups of equal singular values the columns are ordered by a
     descending lexicographic key on the phase-fixed V columns, so equal inputs
     always produce the identical factorization (already-diagonal matrices keep
@@ -133,8 +133,8 @@ def svd(A, rank_tol: float = RANK_TOL, unit_tol: float = UNIT_SNAP_TOL) -> SvdTr
     raw = np.array(s, dtype=float)
 
     sigma = raw.copy()
-    sigma[np.abs(sigma - 1.0) <= unit_tol] = 1.0
-    sigma[sigma <= rank_tol * max(sigma[0] if sigma.size else 0.0, 1.0)] = 0.0
+    sigma[np.abs(sigma - 1.0) <= UNIT_SNAP_TOL] = 1.0
+    sigma[sigma <= RANK_TOL * max(sigma[0] if sigma.size else 0.0, 1.0)] = 0.0
 
     _phase_fix(V, U)
 

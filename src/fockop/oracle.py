@@ -46,7 +46,6 @@ __all__ = [
     "TruncationSpec",
     "basis_indices",
     "f2_inner",
-    "f2_norm",
     "f2_matrix",
     "truncated_norm",
     "truncated_essential_upper",
@@ -56,17 +55,17 @@ __all__ = [
 
 #: largest admissible truncated basis
 BASIS_CAP = 5000
+#: degrees past the cutoff N that the high-degree block of ``truncated_essential_upper`` keeps
+_MARGIN = 6
+#: radii |w| of the kernel probes and of the witness rays
+_KERNEL_RADII = (1.0, 2.0, 4.0, 8.0)
 
 
 @dataclass(frozen=True)
 class TruncationSpec:
-    """Degree cutoffs and probe family for the matrix oracle."""
+    """Degree cutoff of the matrix oracle and the quadrature settings of its sweep."""
 
     max_degree: int = 12
-    margin: int = 6
-    kernel_radii: tuple[float, ...] = (1.0, 2.0, 4.0, 8.0)
-    n_directions: int = 8
-    seed: int = 7
     quad: QuadSpec = field(default_factory=QuadSpec)
 
 
@@ -86,12 +85,6 @@ def basis_indices(n: int, max_degree: int) -> list[tuple[int, ...]]:
     if len(out) > BASIS_CAP:
         raise DomainError(f"basis of size {len(out)} exceeds the cap {BASIS_CAP}")
     return out
-
-
-def f2_norm(f: ExpPoly) -> float:
-    """Exact p=2 norm via the closed-form inner product ``f2_inner``."""
-    v = f2_inner(f, f).real
-    return math.sqrt(max(v, 0.0))
 
 
 def _monomial_pairing_tables(terms, max_m: int, n: int) -> list[list[np.ndarray]]:
@@ -162,10 +155,11 @@ def truncated_norm(matrix: np.ndarray) -> float:
     return math.sqrt(max(float(top), 0.0))
 
 
-def _probe_directions(n: int, count: int, seed: int) -> list[np.ndarray]:
+def _probe_directions(n: int) -> list[np.ndarray]:
+    """The n coordinate axes, then eight random unit directions from a fixed seed."""
     dirs = [np.eye(n, dtype=complex)[i] for i in range(n)]
-    rng = np.random.default_rng(seed)
-    for _ in range(count):
+    rng = np.random.default_rng(7)
+    for _ in range(8):
         v = rng.normal(size=n) + 1j * rng.normal(size=n)
         dirs.append(v / np.linalg.norm(v))
     return dirs
@@ -208,15 +202,13 @@ def truncated_essential_upper(problem: WcoProblem, spec: TruncationSpec | None =
     if not (problem.p == 2.0 and problem.q == 2.0):
         raise DomainError("the matrix oracle works on the p = q = 2 space")
     N = spec.max_degree
-    big = basis_indices(problem.n, N + spec.margin)
+    big = basis_indices(problem.n, N + _MARGIN)
     high = [a for a in big if sum(a) > N]
     best = truncated_norm(_matrix_block(problem, high, big))
 
     low = np.array([a for a in big if sum(a) <= N], dtype=int)
-    for r in spec.kernel_radii:
-        if r == 0:
-            continue
-        for d in _probe_directions(problem.n, spec.n_directions, spec.seed):
+    for r in _KERNEL_RADII:
+        for d in _probe_directions(problem.n):
             w = r * d
             # ||(I - P_N) k_w||^2 = 1 - e^{-|w|^2} sum_{k <= N} |w|^(2k) / k!
             #                    = P(N + 1, |w|^2), the regularized incomplete gamma
@@ -258,9 +250,9 @@ def rayleigh_sweep(problem: WcoProblem, spec: TruncationSpec | None = None) -> S
         num = fock_norm(apply_wco(problem.psi, problem.phi, f), problem.q, qspec).value
         records.append(SweepRecord(label, num / denom))
 
-    dirs = _probe_directions(n, spec.n_directions, spec.seed)
+    dirs = _probe_directions(n)
     add("kernel r=0", normalized_kernel(np.zeros(n, dtype=complex)))
-    for r in spec.kernel_radii:
+    for r in _KERNEL_RADII:
         for k, d in enumerate(dirs):
             add(f"kernel r={r:g} dir={k}", normalized_kernel(r * d))
     for alpha in basis_indices(n, 3):
@@ -286,12 +278,11 @@ class WitnessRay:
 
 def compactness_witness(
     problem: WcoProblem,
-    radii: tuple[float, ...] = (1.0, 2.0, 4.0, 8.0),
     directions=None,
     base=None,
     spec: QuadSpec | None = None,
 ) -> list[WitnessRay]:
-    """||W k_w||_q along rays w = base + r * direction.
+    """||W k_w||_q along rays w = base + r * direction, r = 1, 2, 4, 8.
 
     Kernel images under W stay exact symbols, so each value is one norm
     computation.  Compact operators send these to zero along every ray;
@@ -310,9 +301,9 @@ def compactness_witness(
         if dv.shape != (n,):
             raise DimensionError("directions must be vectors in C^n")
         vals = []
-        for r in radii:
+        for r in _KERNEL_RADII:
             w = base + r * dv
             img = apply_wco(problem.psi, problem.phi, normalized_kernel(w))
             vals.append(fock_norm(img, problem.q, spec).value)
-        rays.append(WitnessRay(tuple(dv), tuple(base), tuple(radii), tuple(vals)))
+        rays.append(WitnessRay(tuple(dv), tuple(base), _KERNEL_RADII, tuple(vals)))
     return rays

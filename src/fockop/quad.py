@@ -11,8 +11,7 @@ radial moments), and at p = 2 every symbol does: ``f2_inner`` is the exact
 inner product of the p = 2 space, a finite sum per coordinate.  Other
 exponents go through tensor-product Gauss-Hermite quadrature centered at the
 mean frequency, which also runs at p = 2 when ``allow_closed_form=False`` and
-serves there as the cross-check.  A Monte Carlo mode is kept for loose
-cross-checks.
+serves there as the cross-check.
 
 A tensor-product grid over several complex axes (here and in ``wco``) is
 never built whole: ``grid_blocks`` splits its points, in the row-major order
@@ -42,34 +41,30 @@ __all__ = ["QuadSpec", "NormResult", "f2_inner", "fock_norm", "fock_sup_norm", "
            "tensor_sup", "tensor_values"]
 
 
+#: fewest Gauss-Hermite nodes per real axis a certified quadrature takes
+MIN_NODES = 8
+
+
 @dataclass(frozen=True)
 class QuadSpec:
     """Knobs for the numerical engines.
 
-    nodes_per_axis / sup_grid default to dimension-dependent values when None.
+    nodes_per_axis defaults to a dimension-dependent value when None.
     ``allow_closed_form=False`` forces the quadrature path even where a closed
     form exists (used by cross-validation tests).
     """
 
-    method: str = "gauss_hermite"
     nodes_per_axis: int | None = None
-    samples: int = 20000
     seed: int = 20260825
     sup_radius: float | None = None
-    sup_grid: int | None = None
     refine_iters: int = 2
     allow_closed_form: bool = True
 
     def resolve_nodes(self, n: int) -> int:
         k = self.nodes_per_axis if self.nodes_per_axis is not None else (40 if n <= 2 else 24)
-        if k < 8:
-            raise DomainError("certified quadrature needs at least 8 nodes per axis")
+        if k < MIN_NODES:
+            raise DomainError(f"certified quadrature needs at least {MIN_NODES} nodes per axis")
         return int(k)
-
-    def resolve_sup_grid(self, n: int) -> int:
-        if self.sup_grid is not None:
-            return int(self.sup_grid)
-        return {1: 41, 2: 15, 3: 7}.get(n, 7)
 
 
 DEFAULT_SPEC = QuadSpec()
@@ -79,7 +74,7 @@ DEFAULT_SPEC = QuadSpec()
 class NormResult:
     """A computed norm with its provenance.
 
-    ``mode`` is one of closed_form / quadrature / monte_carlo.  Single-term
+    ``mode`` is closed_form or quadrature.  Single-term
     closed forms carry err_estimate 0; the p = 2 closed form of a multi-term
     symbol carries a floating-point rounding bound.  ``tail_radius`` records,
     for sup searches, the radius beyond which the analytic tail bound rules
@@ -367,24 +362,6 @@ def _gh_integral_norm(f: ExpPoly, p: float, k: int) -> float:
     return max(total, 0.0) ** (1.0 / p)
 
 
-def _monte_carlo_norm(f: ExpPoly, p: float, spec: QuadSpec) -> NormResult:
-    rng = np.random.default_rng(spec.seed)
-    n = f.n
-    m = int(spec.samples)
-    if m < 16:
-        raise DomainError("monte_carlo needs at least 16 samples")
-    pts = rng.normal(scale=math.sqrt(1.0 / p), size=(m, 2 * n))
-    z = pts[:, :n] + 1j * pts[:, n:]
-    vals = np.abs(f.eval_many(z)) ** p
-    mean = float(np.mean(vals))
-    if mean <= 0.0:
-        return NormResult(0.0, "monte_carlo", 0.0)
-    sem = float(np.std(vals) / math.sqrt(m))
-    value = mean ** (1.0 / p)
-    err = (1.0 / p) * mean ** (1.0 / p - 1.0) * sem
-    return NormResult(value, "monte_carlo", err)
-
-
 # -- public ops --------------------------------------------------------------
 
 
@@ -399,10 +376,6 @@ def fock_norm(f: ExpPoly, p: float, spec: QuadSpec | None = None) -> NormResult:
     p = _check_p(p)
     if f.is_zero():
         return NormResult(0.0, "closed_form", 0.0)
-    if spec.method == "monte_carlo":
-        return _monte_carlo_norm(f, p, spec)
-    if spec.method != "gauss_hermite":
-        raise DomainError(f"unknown quadrature method {spec.method!r}")
     if len(f.terms) == 1 and spec.allow_closed_form:
         t = f.terms[0]
         return NormResult(single_term_norm(t.coeff, t.power, t.freq, p), "closed_form", 0.0)
@@ -410,7 +383,7 @@ def fock_norm(f: ExpPoly, p: float, spec: QuadSpec | None = None) -> NormResult:
         return _f2_norm(f)
     k = spec.resolve_nodes(f.n)
     value = _gh_integral_norm(f, p, k)
-    k2 = max(8, k // 2)
+    k2 = max(MIN_NODES, k // 2)
     if k2 == k:
         k2 = k - 2
     check = _gh_integral_norm(f, p, k2)
@@ -476,6 +449,10 @@ def tensor_sup(blocks: Iterable, axes: Sequence[np.ndarray], free: Sequence[int]
     return refined, abs(refined - best), edge
 
 
+#: points per real axis of the sup-norm search grid, by number of variables (7 beyond)
+_SUP_GRID = {1: 41, 2: 15}
+
+
 def fock_sup_norm(f: ExpPoly, spec: QuadSpec | None = None) -> NormResult:
     """Weighted sup-norm sup |f(z)| e^{-|z|^2/2}.
 
@@ -507,7 +484,7 @@ def fock_sup_norm(f: ExpPoly, spec: QuadSpec | None = None) -> NormResult:
     if spec.sup_radius is not None:
         radius = max(radius, float(spec.sup_radius))
 
-    line = np.linspace(-radius, radius, spec.resolve_sup_grid(n))
+    line = np.linspace(-radius, radius, _SUP_GRID.get(n, 7))
     axes = [plane_axis(line, line)] * n
     blocks = (
         (rows, np.abs(vals) * np.exp(-sum(np.abs(z) ** 2 for z in block_axes(axes, rows)) / 2.0))

@@ -16,7 +16,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -74,21 +74,17 @@ def _fmt(x: float) -> str:
 # -- random symbols -----------------------------------------------------------
 
 
-def random_symbol(
-    rng: np.random.Generator,
-    n: int,
-    max_terms: int = 3,
-    max_power: int = 2,
-    freq_scale: float = 1.0,
-) -> ExpPoly:
-    """A random exponential-polynomial on C^n with moderate growth."""
+def random_symbol(rng: np.random.Generator, n: int) -> ExpPoly:
+    """A random exponential-polynomial on C^n with moderate growth.
+
+    One to three terms, each with a standard complex normal coefficient and
+    frequency and a power of at most 2 in every coordinate.
+    """
     terms = []
-    for _ in range(int(rng.integers(1, max_terms + 1))):
+    for _ in range(int(rng.integers(1, 4))):
         coeff = complex(rng.normal(), rng.normal())
-        power = tuple(int(rng.integers(0, max_power + 1)) for _ in range(n))
-        freq = tuple(
-            complex(rng.normal() * freq_scale, rng.normal() * freq_scale) for _ in range(n)
-        )
+        power = tuple(int(rng.integers(0, 3)) for _ in range(n))
+        freq = tuple(complex(rng.normal(), rng.normal()) for _ in range(n))
         terms.append(Term(coeff, power, freq))
     f = ExpPoly(n, tuple(terms))
     if f.is_zero():
@@ -106,6 +102,21 @@ _LEMMA_EXPONENTS = (0.7, 1.0, 2.0, 3.5)
 _INCLUSION_PAIRS = ((0.5, 1.0), (1.0, 2.0), (2.0, 4.0), (2.0, 3.5), (0.7, 2.4))
 
 
+def _worst_margin(name: str, count: int, cases: Iterable[tuple[float, dict]]) -> PropertyResult:
+    """One lemma record from (margin, counterexample) cases: it passes when no margin is negative.
+
+    The record keeps the smallest margin and, when that one is negative, its
+    counterexample.
+    """
+    worst = math.inf
+    bad = None
+    for margin, counterexample in cases:
+        if margin < worst:
+            worst = margin
+            bad = None if margin >= 0 else counterexample
+    return PropertyResult("lemmas", name, worst >= 0, f"{count} random symbols, worst margin {_fmt(worst)}", bad)
+
+
 def check_slice_bound(count: int, seed: int, spec: QuadSpec | None = None) -> PropertyResult:
     """Fixing head or tail coordinates can only shrink the weighted norm.
 
@@ -115,88 +126,66 @@ def check_slice_bound(count: int, seed: int, spec: QuadSpec | None = None) -> Pr
     """
     spec = spec or DEFAULT_SPEC
     rng = np.random.default_rng(seed)
-    worst = math.inf
-    bad = None
-    for k in range(count):
-        f = random_symbol(rng, 2)
-        p = float(_LEMMA_EXPONENTS[int(rng.integers(len(_LEMMA_EXPONENTS)))])
-        b = _random_point(rng, 1, scale=1.2)
-        full = fock_norm(f, p, spec)
-        for taker, tag in ((slice_head, "head"), (slice_tail, "tail")):
-            g = taker(f, b)
-            part = fock_norm(g, p, spec)
-            lhs = part.value * math.exp(-abs(b[0]) ** 2 / 2.0)
-            tol = part.err_estimate + full.err_estimate + 1e-8 * (1.0 + full.value)
-            margin = full.value + tol - lhs
-            if margin < worst:
-                worst = margin
-                bad = None if margin >= 0 else {
+
+    def cases():
+        for _ in range(count):
+            f = random_symbol(rng, 2)
+            p = float(_LEMMA_EXPONENTS[int(rng.integers(len(_LEMMA_EXPONENTS)))])
+            b = _random_point(rng, 1, scale=1.2)
+            full = fock_norm(f, p, spec)
+            for taker, tag in ((slice_head, "head"), (slice_tail, "tail")):
+                part = fock_norm(taker(f, b), p, spec)
+                lhs = part.value * math.exp(-abs(b[0]) ** 2 / 2.0)
+                tol = part.err_estimate + full.err_estimate + 1e-8 * (1.0 + full.value)
+                yield full.value + tol - lhs, {
                     "symbol": repr(f), "p": p, "b": [b[0].real, b[0].imag],
                     "side": tag, "restricted": lhs, "full": full.value,
                 }
-    ok = worst >= 0
-    return PropertyResult(
-        "lemmas", "slice-restriction-bound", ok,
-        f"{count} random symbols, worst margin {_fmt(worst)}", bad,
-    )
+
+    return _worst_margin("slice-restriction-bound", count, cases())
 
 
 def check_pointwise_bound(count: int, seed: int, spec: QuadSpec | None = None) -> PropertyResult:
     """|f(z)| exp(-|z|^2/2) never exceeds the integral norm, any exponent."""
     spec = spec or DEFAULT_SPEC
     rng = np.random.default_rng(seed)
-    worst = math.inf
-    bad = None
-    for k in range(count):
-        n = 1 + int(rng.integers(2))
-        f = random_symbol(rng, n)
-        p = float(_LEMMA_EXPONENTS[int(rng.integers(len(_LEMMA_EXPONENTS)))])
-        nr = fock_norm(f, p, spec)
-        pts = np.array([_random_point(rng, n) for _ in range(6)])
-        vals = np.abs(f.eval_many(pts)) * np.exp(-0.5 * np.sum(np.abs(pts) ** 2, axis=1))
-        tol = nr.err_estimate + 1e-8 * (1.0 + nr.value)
-        margin = float(nr.value + tol - vals.max())
-        if margin < worst:
-            worst = margin
+
+    def cases():
+        for _ in range(count):
+            n = 1 + int(rng.integers(2))
+            f = random_symbol(rng, n)
+            p = float(_LEMMA_EXPONENTS[int(rng.integers(len(_LEMMA_EXPONENTS)))])
+            nr = fock_norm(f, p, spec)
+            pts = np.array([_random_point(rng, n) for _ in range(6)])
+            vals = np.abs(f.eval_many(pts)) * np.exp(-0.5 * np.sum(np.abs(pts) ** 2, axis=1))
+            tol = nr.err_estimate + 1e-8 * (1.0 + nr.value)
             j = int(np.argmax(vals))
-            bad = None if margin >= 0 else {
+            yield float(nr.value + tol - vals.max()), {
                 "symbol": repr(f), "p": p, "z": [[c.real, c.imag] for c in pts[j]],
                 "pointwise": float(vals[j]), "norm": nr.value,
             }
-    ok = worst >= 0
-    return PropertyResult(
-        "lemmas", "pointwise-evaluation-bound", ok,
-        f"{count} random symbols, worst margin {_fmt(worst)}", bad,
-    )
+
+    return _worst_margin("pointwise-evaluation-bound", count, cases())
 
 
 def check_inclusion_constant(count: int, seed: int, spec: QuadSpec | None = None) -> PropertyResult:
     """Smaller-exponent spaces embed in larger ones with constant (q/p)^(n/q)."""
     spec = spec or DEFAULT_SPEC
     rng = np.random.default_rng(seed)
-    worst = math.inf
-    bad = None
-    for k in range(count):
-        n = 1 + int(rng.integers(2))
-        f = random_symbol(rng, n)
-        p, q = _INCLUSION_PAIRS[int(rng.integers(len(_INCLUSION_PAIRS)))]
-        lo = fock_norm(f, p, spec)
-        hi = fock_norm(f, q, spec)
-        const = (q / p) ** (n / q)
-        rhs = const * lo.value
-        tol = hi.err_estimate + const * lo.err_estimate + 1e-8 * (1.0 + rhs)
-        margin = rhs + tol - hi.value
-        if margin < worst:
-            worst = margin
-            bad = None if margin >= 0 else {
-                "symbol": repr(f), "p": p, "q": q,
-                "norm_q": hi.value, "bound": rhs,
-            }
-    ok = worst >= 0
-    return PropertyResult(
-        "lemmas", "exponent-inclusion-constant", ok,
-        f"{count} random symbols, worst margin {_fmt(worst)}", bad,
-    )
+
+    def cases():
+        for _ in range(count):
+            n = 1 + int(rng.integers(2))
+            f = random_symbol(rng, n)
+            p, q = _INCLUSION_PAIRS[int(rng.integers(len(_INCLUSION_PAIRS)))]
+            lo = fock_norm(f, p, spec)
+            hi = fock_norm(f, q, spec)
+            const = (q / p) ** (n / q)
+            rhs = const * lo.value
+            tol = hi.err_estimate + const * lo.err_estimate + 1e-8 * (1.0 + rhs)
+            yield rhs + tol - hi.value, {"symbol": repr(f), "p": p, "q": q, "norm_q": hi.value, "bound": rhs}
+
+    return _worst_margin("exponent-inclusion-constant", count, cases())
 
 
 def suite_lemmas(
@@ -221,7 +210,6 @@ def suite_lemmas(
 def suite_sandwich(
     problems: Sequence[tuple[str, WcoProblem]],
     spec: QuadSpec | None = None,
-    max_degree: int = 12,
 ) -> list[PropertyResult]:
     spec = spec or DEFAULT_SPEC
     out = []
@@ -235,7 +223,7 @@ def suite_sandwich(
             out.append(_skip("sandwich", name, "unbounded"))
             continue
         nb = an.norm_bounds
-        tn = truncated_norm(f2_matrix(prob, TruncationSpec(max_degree=max_degree, quad=spec)))
+        tn = truncated_norm(f2_matrix(prob, TruncationSpec(quad=spec)))
         lo = nb.lower * (1.0 - 1e-3)
         hi = nb.upper * (1.0 + 1e-6)
         ok = lo <= tn <= hi
@@ -337,7 +325,6 @@ def _escape_ray(an: Analysis) -> tuple[np.ndarray, np.ndarray]:
 def suite_witness(
     problems: Sequence[tuple[str, WcoProblem]],
     spec: QuadSpec | None = None,
-    radii: tuple[float, ...] = (1.0, 2.0, 4.0, 8.0),
 ) -> list[PropertyResult]:
     spec = spec or DEFAULT_SPEC
     out = []
@@ -353,19 +340,19 @@ def suite_witness(
             extra = rng.normal(size=(2, prob.n)) + 1j * rng.normal(size=(2, prob.n))
             extra /= np.linalg.norm(extra, axis=1)[:, None]
             dirs = [np.eye(prob.n, dtype=complex)[i] for i in range(prob.n)] + list(extra)
-            rays = compactness_witness(prob, radii=radii, directions=dirs, spec=spec)
+            rays = compactness_witness(prob, directions=dirs, spec=spec)
             far = max(r.values[-1] for r in rays)
             ok = far < 1e-3
             ce = None if ok else {"label": label, "far_value": far}
             out.append(PropertyResult(
                 "witness", name, ok,
-                f"compact: max ||W k_w|| at |w|={radii[-1]:g} is {_fmt(far)} (< 0.001)", ce,
+                f"compact: max ||W k_w|| at |w|={rays[0].radii[-1]:g} is {_fmt(far)} (< 0.001)", ce,
             ))
             continue
         # bounded, not compact: some ray must stay comparable to limsup ell
         limsup = an.ell_limsup.value
         base, direction = _escape_ray(an)
-        ray = compactness_witness(prob, radii=radii, directions=[direction], base=base, spec=spec)[0]
+        ray = compactness_witness(prob, directions=[direction], base=base, spec=spec)[0]
         floor = 0.5 * limsup
         low = min(ray.values)
         ok = low > floor

@@ -443,9 +443,13 @@ def _ell_blocks(profile: EllProfile, axes: Sequence[np.ndarray], spec: QuadSpec,
         yield rows, (vals.reshape(-1, *sizes[1:]) if keep is None else vals)
 
 
+#: points per real axis of the sup search grid of ell, by number of active coordinates (7 beyond)
+_SUP_GRID = {1: 17, 2: 15}
+
+
 def _numeric_sup(profile: EllProfile, spec: QuadSpec, radii: list[float], active: list[int]) -> tuple[float, float, float]:
     """``quad.tensor_sup`` of ell over the active coordinates (the others stay 0): (value, err, edge ratio)."""
-    g = min(spec.resolve_sup_grid(len(active)) if len(active) <= 3 else 7, 17)
+    g = _SUP_GRID.get(len(active), 7)
     lines = [np.linspace(-r, r, g) for r in radii]
     axes = [plane_axis(x, x) if i in active else np.zeros(1, dtype=complex) for i, x in enumerate(lines)]
     return tensor_sup(

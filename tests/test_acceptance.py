@@ -317,7 +317,7 @@ def test_criterion_08_essential_norm_containment():
         ("displacement-n2", WcoProblem(kernel([-0.6, 0.0]), AffineMap(np.eye(2), [0.6, 0.0]), 2.0, 2.0)),
         ("poly-small-a", WcoProblem(multiply(monomial(1, (1,)), kernel([0.3])), AffineMap([[0.4]], [0.1]), 2.0, 2.0)),
     ]
-    tspec = fk.TruncationSpec(max_degree=14, margin=6)
+    tspec = fk.TruncationSpec(max_degree=14)
     failures = []
     for nick, prob in cases:
         nb = norm_bounds(prob)

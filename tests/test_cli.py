@@ -146,6 +146,35 @@ def test_classify_text_mode_is_flat_key_values():
     assert lines == sorted(lines)
 
 
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("bounds", "02_contraction", "--quad-nodes", "4"),
+        ("classify", "14_two_frequencies", "--seed", "-1"),
+        ("oracle", "02_contraction", "--max-degree", "-1"),
+        ("oracle", "07_anisotropic", "--max-degree", "200"),  # 20301 basis monomials, above the cap
+    ],
+)
+def test_settings_that_cannot_run_exit_two(args):
+    cmd, stem, *flags = args
+    r = run_cli(cmd, str(corpus_path(stem)), *flags)
+    assert r.returncode == 2, r.stderr
+    assert r.stderr.startswith("fockop: ")
+    assert "Traceback" not in r.stderr
+    assert not r.stdout
+
+
+@pytest.mark.parametrize("quad,key", [({"nodes_per_axis": 4}, "nodes_per_axis"), ({"samples": 100}, "samples")])
+def test_quad_block_rejects_unusable_and_unknown_keys(tmp_path, quad, key):
+    doc = json.loads(corpus_path("02_contraction").read_text())
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(dict(doc, quad=quad)))
+    r = run_cli("bounds", str(bad))
+    assert r.returncode == 2, r.stderr
+    assert key in r.stderr
+    assert "Traceback" not in r.stderr
+
 def test_verify_runs_all_suites_on_directory():
     r = run_cli("verify", str(CORPUS_DIR), "--lemma-count", "6", "--text")
     assert r.returncode == 0, r.stdout + r.stderr

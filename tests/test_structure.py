@@ -3,10 +3,12 @@
 No module imports an underscore name from another fockop module, no function
 body imports a fockop module (a lazy import is how a cycle hides), and the
 imports between fockop modules form no cycle; the package exports names, not
-modules; only ``quad`` builds meshgrids or runs a local optimizer; and only
-``quad`` and ``wco`` evaluate slice norms or stack grid points.
+modules; only ``quad`` builds meshgrids or runs a local optimizer; only
+``quad`` and ``wco`` evaluate slice norms or stack grid points; and every
+quadrature setting is one problem-file key and one report field.
 """
 import ast
+import dataclasses
 import importlib
 import subprocess
 import sys
@@ -14,6 +16,10 @@ import types
 from pathlib import Path
 
 import pytest
+
+from fockop import cli
+from fockop.quad import QuadSpec
+from helpers import corpus_path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "fockop"
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
@@ -165,3 +171,10 @@ def test_ell_and_slice_norms_are_evaluated_only_in_wco():
                 names = [alias.name for alias in node.names]
             bad += [f"{path.name}:{node.lineno} uses {name}" for name in names if name in ("slice_norm", "grid_points")]
     assert not bad, bad
+
+
+def test_every_quadrature_setting_is_a_file_key_and_a_report_field():
+    """QuadSpec's fields, the problem file's quad keys and the report's quad block name the same settings."""
+    fields = {f.name for f in dataclasses.fields(QuadSpec)}
+    report = cli.cmd_classify(cli.load_problem(corpus_path("14_two_frequencies")))
+    assert fields == set(cli._QUAD_OVERRIDE_KEYS) == set(report["quad"])
