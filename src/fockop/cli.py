@@ -437,6 +437,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "verify":
+            _expect(args.lemma_count >= 1, f"--lemma-count {args.lemma_count}", "expected an integer >= 1")
             files = _corpus_files(args.path)
             corpus = [_apply_overrides(load_problem(f), args) for f in files]
             # the suites run every problem with one spec, so every file must resolve to it
@@ -448,7 +449,7 @@ def main(argv=None) -> int:
             results = run_suites(
                 problems,
                 suite=args.suite,
-                seed=args.seed if args.seed is not None else 20260825,
+                seed=spec.seed,
                 lemma_count=args.lemma_count,
                 spec=spec,
             )

@@ -103,6 +103,22 @@ class ExpPoly:
         _check_budget(len(norm_terms))
         object.__setattr__(self, "terms", _canonical(self.n, norm_terms))
 
+    @classmethod
+    def _from_checked(cls, n: int, terms: list[Term]) -> "ExpPoly":
+        """Canonical ExpPoly of terms computed by this module from checked ones.
+
+        Skips the per-term coercion and checks of ``__post_init__``; keeps the
+        term budget, the canonical form, and the check that every coefficient is
+        finite, since a product of finite coefficients can overflow.
+        """
+        _check_budget(len(terms))
+        if not np.isfinite(np.array([t.coeff for t in terms], dtype=complex)).all():
+            raise DomainError("coefficients must be finite")
+        out = object.__new__(cls)
+        object.__setattr__(out, "n", n)
+        object.__setattr__(out, "terms", _canonical(n, terms))
+        return out
+
     # -- queries ---------------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -288,7 +304,7 @@ def compose_affine(f: ExpPoly, phi: AffineMap) -> ExpPoly:
     for coeff, power, freq in f.terms:
         cvec = np.array(freq, dtype=complex)
         base = coeff * np.exp(np.sum(b * np.conj(cvec)))
-        new_freq = tuple(Astar @ cvec)
+        new_freq = tuple(complex(c) for c in Astar @ cvec)
         poly: dict = {(0,) * n: base}
         for i in range(n):
             lin = [complex(A[i, j]) for j in range(n)]
@@ -296,9 +312,9 @@ def compose_affine(f: ExpPoly, phi: AffineMap) -> ExpPoly:
             for _ in range(power[i]):
                 poly = _poly_mul(poly, lin, const, n)
         for pw, cf in poly.items():
-            new_terms.append(Term(cf, pw, new_freq))
+            new_terms.append(Term(complex(cf), pw, new_freq))
         _check_budget(len(new_terms))
-    return ExpPoly(n, tuple(new_terms))
+    return ExpPoly._from_checked(n, new_terms)
 
 
 def multiply(f: ExpPoly, g: ExpPoly) -> ExpPoly:
@@ -316,7 +332,7 @@ def multiply(f: ExpPoly, g: ExpPoly) -> ExpPoly:
                     tuple(a + b for a, b in zip(w1, w2)),
                 )
             )
-    return ExpPoly(f.n, tuple(terms))
+    return ExpPoly._from_checked(f.n, terms)
 
 
 def slice_head(f: ExpPoly, prefix: Sequence[complex]) -> ExpPoly:
@@ -334,7 +350,7 @@ def slice_head(f: ExpPoly, prefix: Sequence[complex]) -> ExpPoly:
             if freq[i] != 0:
                 c = c * np.exp(pre[i] * np.conj(freq[i]))
         terms.append(Term(complex(c), power[s:], freq[s:]))
-    return ExpPoly(f.n - s, tuple(terms))
+    return ExpPoly._from_checked(f.n - s, terms)
 
 
 def slice_tail(f: ExpPoly, suffix: Sequence[complex]) -> ExpPoly:

@@ -3,12 +3,16 @@
 The monomials e_alpha = z^alpha / sqrt(alpha!) are an orthonormal basis of the
 p = 2 space, and inner products of exponential-polynomials against them and
 against each other have finite closed forms, so every matrix entry, and every
-norm at p = 2, is computed here without any quadrature.  The Galerkin matrix is built
-from its own pairing tables and shares no code with the norm engine; the
-kernel-tail quotients use the exact inner product ``f2_inner``, which
-``fock_norm`` also uses at p = 2 and which the Gauss-Hermite path
-(``allow_closed_form=False``) cross-checks.  This gives an oracle for operator
-norms, essential norms and compactness.
+norm at p = 2, is computed here without any quadrature.  The Galerkin matrix is
+linear algebra that shares no code with the symbol algebra or the norm engine:
+the coefficients of (A z + b)^alpha follow degree by degree from those one
+degree lower, and each term of psi pairs them with the output basis through
+per-coordinate closed forms (``_matrix_block``).  Its norm is the top singular
+value, read by Lanczos iteration on M^H M without forming that Gram matrix
+(``truncated_norm``).  The kernel-tail quotients use the exact inner product
+``f2_inner``, which ``fock_norm`` also uses at p = 2 and which the
+Gauss-Hermite path (``allow_closed_form=False``) cross-checks.  This gives an
+oracle for operator norms, essential norms and compactness.
 
 The kernel-tail images need no symbol algebra beyond one product with psi:
 with v = A* w and beta = <b, w>,
@@ -59,6 +63,8 @@ BASIS_CAP = 5000
 _MARGIN = 6
 #: radii |w| of the kernel probes and of the witness rays
 _KERNEL_RADII = (1.0, 2.0, 4.0, 8.0)
+#: seed of the start vector of the Lanczos iteration in ``truncated_norm``
+_LANCZOS_SEED = 0
 
 
 @dataclass(frozen=True)
@@ -87,44 +93,101 @@ def basis_indices(n: int, max_degree: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _monomial_pairing_tables(terms, max_m: int, n: int) -> list[list[np.ndarray]]:
-    """For each term, per-coordinate arrays H[m] = <z^g exp(z conj(c)), z^m>.
+def _coordinate_pairing(freq: complex, power: int, max_degree: int) -> np.ndarray:
+    """T[m, k] = <z^power e^{z conj(freq)} e_k, e_m> on one coordinate, for m, k <= max_degree.
 
-    <z^g exp(z conj(c)), z^m> = m! conj(c)^(m-g) / (m-g)!  when m >= g, else 0.
+    With mu = m - k - power this is sqrt(m!/k!) conj(freq)^mu / mu! when mu >= 0
+    and 0 otherwise; down each column it is a running product from mu = 0.
     """
-    tables = []
-    for _, power, freq in terms:
-        per_coord = []
-        for i in range(n):
-            g = power[i]
-            cc = complex(freq[i]).conjugate()
-            h = np.zeros(max_m + 1, dtype=complex)
-            for m in range(g, max_m + 1):
-                h[m] = math.factorial(m) / math.factorial(m - g) * cc ** (m - g)
-            per_coord.append(h)
-        tables.append(per_coord)
-    return tables
+    m = np.arange(max_degree + 1)[:, None]
+    k = np.arange(max_degree + 1)[None, :]
+    mu = m - k - power
+    start = np.ones(max_degree + 1)
+    for i in range(1, power + 1):
+        start *= np.sqrt(k[0] + i)
+    step = np.sqrt(m) * np.conj(freq) / np.maximum(mu, 1)
+    ratio = np.where(mu > 0, step, np.where(mu == 0, start, 1.0))
+    return np.where(mu >= 0, np.cumprod(ratio, axis=0), 0.0)
 
 
-def _matrix_block(problem: WcoProblem, in_indices, out_indices) -> np.ndarray:
-    n = problem.n
-    max_m = max((max(b) for b in out_indices), default=0)
-    B = np.array(out_indices, dtype=int)
-    out_fact = np.array(
-        [math.sqrt(math.prod(math.factorial(k) for k in b)) for b in out_indices]
-    )
-    M = np.zeros((len(out_indices), len(in_indices)), dtype=complex)
-    for col, alpha in enumerate(in_indices):
-        image = apply_wco(problem.psi, problem.phi, monomial(n, alpha))
-        tables = _monomial_pairing_tables(image.terms, max_m, n)
-        colvals = np.zeros(len(out_indices), dtype=complex)
-        for (coeff, _, _), per_coord in zip(image.terms, tables):
-            prod = np.full(len(out_indices), coeff, dtype=complex)
+def _matrix_block(problem: WcoProblem, max_degree: int, min_degree: int = 0) -> np.ndarray:
+    """<W e_alpha, e_beta> for |beta| <= max_degree and min_degree <= |alpha| <= max_degree.
+
+    Column alpha of Q holds (A z + b)^alpha / sqrt(alpha!) on the basis e_gamma;
+    z_j sends e_gamma to sqrt(gamma_j + 1) e_{gamma + e_j}, so each degree
+    follows from the one below:
+
+        Q[:, alpha + e_i] = (b_i Q[:, alpha] + sum_j A_ij z_j Q[:, alpha]) / sqrt(alpha_i + 1).
+
+    A term c z^g e^{<z, f>} of psi pairs e_gamma with e_beta by the product over
+    coordinates of ``_coordinate_pairing``; for f = 0 only beta = gamma + g
+    pairs, so the term moves rows of Q instead of multiplying by a matrix.
+    Only one degree of Q is held at a time.
+    """
+    n, A, b = problem.n, problem.phi.A, problem.phi.b
+    idx = basis_indices(n, max_degree)
+    B = np.array(idx, dtype=int).reshape(len(idx), n)
+    pos = {alpha: k for k, alpha in enumerate(idx)}
+    # degree d is rows edge[d]:edge[d + 1] of the graded basis
+    edge = [math.comb(d + n - 1, n) for d in range(max_degree + 2)]
+    inner = edge[max_degree]
+    up = np.array(
+        [[pos[a[:j] + (a[j] + 1,) + a[j + 1:]] for j in range(n)] for a in idx[:inner]], dtype=int
+    ).reshape(inner, n)
+    lift = np.sqrt(B[:inner] + 1.0)
+    # alpha's parent is alpha - e_i for its first nonzero coordinate i
+    parent = np.zeros(len(idx), dtype=int)
+    direction = np.zeros(len(idx), dtype=int)
+    for j in reversed(range(n)):
+        parent[up[:, j]] = np.arange(inner)
+        direction[up[:, j]] = j
+
+    # terms without a frequency move rows; the others add up to one pairing matrix
+    shifts, pairing = [], None
+    for coeff, power, freq in problem.psi.terms:
+        tables = [_coordinate_pairing(f, g, max_degree) for f, g in zip(freq, power)]
+        if any(freq):
+            table = np.full((len(idx), len(idx)), coeff)
             for i in range(n):
-                prod = prod * per_coord[i][B[:, i]]
-            colvals += prod
-        in_fact = math.sqrt(math.prod(math.factorial(k) for k in alpha))
-        M[:, col] = colvals / (out_fact * in_fact)
+                table *= tables[i][B[:, i][:, None], B[:, i][None, :]]
+            if pairing is None:
+                pairing = table
+            else:
+                pairing += table
+        else:
+            # gamma -> gamma + g for the gamma with |gamma + g| <= max_degree
+            dst = np.arange(edge[max(max_degree - sum(power) + 1, 0)])
+            for j, g in enumerate(power):
+                for _ in range(g):
+                    dst = up[dst, j]
+            weight = np.full(len(dst), coeff)
+            for i in range(n):
+                weight *= tables[i][B[dst, i], B[: len(dst), i]]
+            shifts.append((dst, weight))
+
+    first = edge[min_degree]
+    M = np.zeros((len(idx), len(idx) - first), dtype=complex)
+    Q = np.ones((1, 1), dtype=complex)
+    for d in range(max_degree + 1):
+        if d:
+            lo, hi = edge[d - 1], edge[d]
+            children = np.arange(hi, edge[d + 1])
+            i = direction[children]
+            X = Q[:, parent[children] - lo]
+            Q = np.zeros((edge[d + 1], len(children)), dtype=complex)
+            Q[:hi] = X * b[i]
+            for j in range(n):
+                if A[i, j].any():
+                    Q[up[:hi, j]] += lift[:hi, j, None] * X * A[i, j]
+            Q /= np.sqrt(B[children, i])
+        if d < min_degree:
+            continue
+        cols = slice(edge[d] - first, edge[d + 1] - first)
+        for dst, weight in shifts:
+            s = min(len(dst), Q.shape[0])
+            M[dst[:s], cols] += weight[:s, None] * Q[:s]
+        if pairing is not None:
+            M[:, cols] += pairing[:, : Q.shape[0]] @ Q
     return M
 
 
@@ -134,25 +197,48 @@ def f2_matrix(problem: WcoProblem, spec: TruncationSpec | None = None) -> np.nda
     Only meaningful as an operator approximation for p = q = 2.
     """
     spec = spec or TruncationSpec()
-    idx = basis_indices(problem.n, spec.max_degree)
-    return _matrix_block(problem, idx, idx)
+    return _matrix_block(problem, spec.max_degree)
 
 
 def truncated_norm(matrix: np.ndarray) -> float:
     """Largest singular value of a truncated matrix (0 for an empty one).
 
-    sigma_max^2 is the top eigenvalue of the smaller Gram matrix M^H M or
-    M M^H, which a symmetric eigensolver finds to a relative error of order
-    the unit roundoff times the Gram dimension, without a full SVD.
+    sigma_max^2 is the top eigenvalue of M^H M, read by Lanczos iteration on
+    x -> M^H (M x) with full reorthogonalization, from a complex Gaussian start
+    vector of a fixed seed.  Every Ritz value lies below that eigenvalue; the
+    iteration stops when the residual bound of the top Ritz pair is at rounding
+    level, or after as many steps as M has columns.
     """
     if matrix.ndim != 2:
         raise DimensionError("expected a 2-d matrix")
     if matrix.size == 0:
         return 0.0
-    if matrix.shape[0] < matrix.shape[1]:
-        matrix = matrix.conj().T
-    top = np.linalg.eigvalsh(matrix.conj().T @ matrix)[-1]
-    return math.sqrt(max(float(top), 0.0))
+    # the iteration runs on M / scale, so that M^H M neither overflows nor underflows
+    scale = float(np.abs(matrix).max())
+    if scale == 0.0:
+        return 0.0
+    dim = matrix.shape[1]
+    rng = np.random.default_rng(_LANCZOS_SEED)
+    q = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    q /= np.linalg.norm(q)
+    basis: list[np.ndarray] = []
+    diag: list[float] = []
+    off: list[float] = []
+    for _ in range(dim):
+        basis.append(q)
+        w = ((matrix @ (q / scale)).conj() @ matrix).conj() / scale
+        diag.append(float(np.vdot(q, w).real))
+        V = np.array(basis)
+        for _ in range(2):  # twice is enough to keep the basis orthogonal to rounding
+            w -= V.T @ (V.conj() @ w)
+        beta = float(np.linalg.norm(w))
+        ritz, vecs = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+        top = float(ritz[-1])
+        if beta * abs(vecs[-1, -1]) <= np.finfo(float).eps * top:
+            break
+        off.append(beta)
+        q = w / beta
+    return scale * math.sqrt(max(top, 0.0))
 
 
 def _probe_directions(n: int) -> list[np.ndarray]:
@@ -202,11 +288,9 @@ def truncated_essential_upper(problem: WcoProblem, spec: TruncationSpec | None =
     if not (problem.p == 2.0 and problem.q == 2.0):
         raise DomainError("the matrix oracle works on the p = q = 2 space")
     N = spec.max_degree
-    big = basis_indices(problem.n, N + _MARGIN)
-    high = [a for a in big if sum(a) > N]
-    best = truncated_norm(_matrix_block(problem, high, big))
+    best = truncated_norm(_matrix_block(problem, N + _MARGIN, N + 1))
 
-    low = np.array([a for a in big if sum(a) <= N], dtype=int)
+    low = np.array(basis_indices(problem.n, N), dtype=int)
     for r in _KERNEL_RADII:
         for d in _probe_directions(problem.n):
             w = r * d

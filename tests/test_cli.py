@@ -154,6 +154,7 @@ def test_classify_text_mode_is_flat_key_values():
         ("classify", "14_two_frequencies", "--seed", "-1"),
         ("oracle", "02_contraction", "--max-degree", "-1"),
         ("oracle", "07_anisotropic", "--max-degree", "200"),  # 20301 basis monomials, above the cap
+        ("verify", "01_identity", "--lemma-count", "0"),
     ],
 )
 def test_settings_that_cannot_run_exit_two(args):
@@ -194,6 +195,17 @@ def test_verify_json_counts_skipped_records(capsys):
     assert (doc["passed"], doc["skipped"], doc["failed"]) == (13, 4, 0)
     assert doc["skipped"] == len(skipped)
     assert doc["passed"] + doc["skipped"] + doc["failed"] == len(doc["results"])
+
+
+def test_verify_reads_the_seed_of_the_quad_block(tmp_path, capsys):
+    doc = json.loads(corpus_path("01_identity").read_text())
+    seeded = tmp_path / "seeded.json"
+    seeded.write_text(json.dumps(dict(doc, quad={"seed": 5})))
+    args = ["--suite", "lemmas", "--lemma-count", "5"]
+    assert cli.main(["verify", str(seeded), *args]) == 0
+    from_file = capsys.readouterr().out
+    assert cli.main(["verify", str(corpus_path("01_identity")), "--seed", "5", *args]) == 0
+    assert capsys.readouterr().out == from_file
 
 
 def test_verify_rejects_files_whose_quad_blocks_differ(tmp_path):

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fockop.errors import DimensionError, TermBudgetError
+from fockop.errors import DimensionError, DomainError, TermBudgetError
 from fockop.funcspace import (
     AffineMap,
     ExpPoly,
@@ -122,6 +122,18 @@ def test_dimension_mismatch_raises():
         multiply(kernel([0.1]), kernel([0.1, 0.2]))
     with pytest.raises(DimensionError):
         slice_head(kernel([0.1]), [1.0, 2.0])
+
+
+def test_algebra_outputs_are_checked_for_overflow_and_keep_python_scalars():
+    big = monomial(1, (1,), coeff=1e200)
+    with pytest.raises(DomainError):
+        multiply(big, big)
+    f = compose_affine(kernel([0.5, -0.2j]) + monomial(2, (2, 1)), AffineMap([[0.4, 0.1j], [0.0, -0.3]], [0.2, 1j]))
+    for g in (f, multiply(f, f), slice_head(f, [0.3 + 0.1j])):
+        for t in g.terms:
+            assert type(t.coeff) is complex
+            assert all(type(k) is int for k in t.power)
+            assert all(type(c) is complex for c in t.freq)
 
 
 def test_term_budget_guard():

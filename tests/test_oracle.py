@@ -155,6 +155,44 @@ def _seeded_map(rng, n, rank, drift):
     return AffineMap(U @ np.diag(sigma) @ Vh, b)
 
 
+def _seeded_symbol(rng, n, terms, max_power):
+    return fk.ExpPoly(n, tuple(
+        fk.Term(
+            complex(rng.normal(), rng.normal()),
+            tuple(int(k) for k in rng.integers(0, max_power + 1, size=n)),
+            tuple(0.3 * (rng.normal(size=n) + 1j * rng.normal(size=n))),
+        )
+        for _ in range(terms)
+    ))
+
+
+@pytest.mark.parametrize("n, max_degree", [(1, 9), (2, 5), (3, 3)])
+@pytest.mark.parametrize("drift", [0.0, 0.5])
+def test_matrix_block_matches_symbol_algebra_columns(n, max_degree, drift):
+    # every entry against <W e_alpha, e_beta> from apply_wco and the exact inner product
+    rng = np.random.default_rng(10 * n + int(10 * drift))
+    idx = basis_indices(n, max_degree)
+    root = [math.sqrt(math.prod(math.factorial(k) for k in a)) for a in idx]
+    for rank in range(n + 1):
+        phi = _seeded_map(rng, n, rank, drift)
+        # two terms with frequencies, one polynomial term without
+        polynomial = fk.monomial(n, tuple(int(k) for k in rng.integers(0, 3, size=n)), complex(rng.normal(), 1.0))
+        psi = _seeded_symbol(rng, n, 2, max_power=2) + polynomial
+        problem = fk.WcoProblem(psi, phi, 2.0, 2.0)
+        M = f2_matrix(problem, fk.TruncationSpec(max_degree=max_degree))
+        want = np.array([
+            [
+                quad.f2_inner(fk.apply_wco(psi, phi, fk.monomial(n, alpha)), fk.monomial(n, beta)) / (ra * rb)
+                for alpha, ra in zip(idx, root)
+            ]
+            for beta, rb in zip(idx, root)
+        ])
+        assert np.abs(M - want).max() <= 1e-12 * np.abs(want).max()
+        # the high-degree block is the same columns
+        high = oracle._matrix_block(problem, max_degree, 2)
+        assert np.allclose(high, M[:, math.comb(n + 1, n):], rtol=0.0, atol=1e-14 * np.abs(M).max())
+
+
 @pytest.mark.parametrize(
     "n, rank, drift, psi_terms",
     [(1, 1, 0.0, 1), (1, 1, 0.4, 2), (1, 0, 0.7, 2), (2, 2, 0.3, 3), (2, 1, 0.5, 2), (3, 2, 0.4, 3), (3, 3, 0.0, 2)],
@@ -163,14 +201,7 @@ def test_kernel_tail_image_matches_symbol_algebra(n, rank, drift, psi_terms):
     # the multinomial closed form against psi * ((I - P_N) k_w o phi) expanded term by term
     rng = np.random.default_rng(100 * n + 10 * rank + psi_terms)
     phi = _seeded_map(rng, n, rank, drift)
-    psi = fk.ExpPoly(n, tuple(
-        fk.Term(
-            complex(rng.normal(), rng.normal()),
-            tuple(int(k) for k in rng.integers(0, 2, size=n)),
-            tuple(0.3 * (rng.normal(size=n) + 1j * rng.normal(size=n))),
-        )
-        for _ in range(psi_terms)
-    ))
+    psi = _seeded_symbol(rng, n, psi_terms, max_power=1)
     problem = fk.WcoProblem(psi, phi, 2.0, 2.0)
     N = 6
     low = np.array(basis_indices(n, N))
@@ -184,14 +215,21 @@ def test_kernel_tail_image_matches_symbol_algebra(n, rank, drift, psi_terms):
 
 @pytest.mark.parametrize(
     "shape, rank",
-    [((7, 4), 4), ((4, 7), 4), ((6, 6), 6), ((8, 5), 2), ((5, 8), 3), ((5, 5), 0), ((6, 0), 0)],
+    [
+        ((7, 4), 4), ((4, 7), 4), ((6, 6), 6), ((8, 5), 2), ((5, 8), 3), ((5, 5), 0), ((6, 0), 0),
+        ((300, 200), 200), ((1, 1), 1), ((1, 9), 1), ((40, 40), None),
+    ],
 )
 def test_truncated_norm_is_top_singular_value(shape, rank):
-    rng = np.random.default_rng(shape[0] * 10 + shape[1] + rank)
+    rng = np.random.default_rng(shape[0] * 10 + shape[1] + (rank or 0))
     m, k = shape
-    M = (rng.normal(size=(m, rank)) + 1j * rng.normal(size=(m, rank))) @ (
-        rng.normal(size=(rank, k)) + 1j * rng.normal(size=(rank, k))
-    )
+    if rank is None:
+        # unitary: the top singular value 1 is repeated m times
+        M = np.linalg.qr(rng.normal(size=shape) + 1j * rng.normal(size=shape))[0]
+    else:
+        M = (rng.normal(size=(m, rank)) + 1j * rng.normal(size=(m, rank))) @ (
+            rng.normal(size=(rank, k)) + 1j * rng.normal(size=(rank, k))
+        )
     sv = np.linalg.svd(M, compute_uv=False)
     want = float(sv[0]) if sv.size else 0.0
     assert abs(truncated_norm(M) - want) <= 1e-13 * want
@@ -201,20 +239,26 @@ def test_essential_upper_reads_only_high_degree_columns(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("full SVD called")
 
-    calls = []
-    original = oracle.apply_wco
+    calls, shapes = [], []
+    original_wco, original_norm = oracle.apply_wco, oracle.truncated_norm
 
     def counted(*args, **kwargs):
         calls.append(1)
-        return original(*args, **kwargs)
+        return original_wco(*args, **kwargs)
+
+    def recorded(matrix):
+        shapes.append(matrix.shape)
+        return original_norm(matrix)
 
     monkeypatch.setattr(np.linalg, "svd", refuse)
     monkeypatch.setattr(oracle, "apply_wco", counted)
+    monkeypatch.setattr(oracle, "truncated_norm", recorded)
     loaded = cli.load_problem(corpus_path("13_rank_deficient_n3"))
     spec = fk.TruncationSpec(max_degree=10)
     assert truncated_essential_upper(loaded.problem, spec) > 0.0
-    # one Galerkin column per |alpha| in 11..16 on C^3, and no symbol algebra per probe
-    assert len(calls) == math.comb(16 + 3, 3) - math.comb(10 + 3, 3) == 683
+    # one Galerkin column per |alpha| in 11..16 on C^3, no symbol algebra per column or probe
+    assert not calls
+    assert shapes == [(math.comb(16 + 3, 3), math.comb(16 + 3, 3) - math.comb(10 + 3, 3))] == [(969, 683)]
 
 
 def test_oracle_runs_no_quadrature(monkeypatch, capsys):
