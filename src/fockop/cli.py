@@ -28,7 +28,8 @@ from .errors import (
     UnsupportedExponentsError,
 )
 from .funcspace import AffineMap, ExpPoly, Term
-from .oracle import BASIS_CAP, TruncationSpec, f2_matrix, rayleigh_sweep, truncated_essential_upper, truncated_norm
+from .oracle import BASIS_CAP, DEGREE_CAP, TruncationSpec, f2_matrix, rayleigh_sweep
+from .oracle import truncated_essential_upper, truncated_norm
 from .quad import DEFAULT_SPEC, MIN_NODES, NormResult, QuadSpec
 from .verify import SUITE_NAMES, format_results, run_suites
 from .wco import UNBOUNDED, Analysis, WcoProblem, analyze
@@ -315,6 +316,9 @@ def cmd_oracle(loaded: LoadedProblem, max_degree: int = 10) -> dict:
     _expect(max_degree >= 0, at, "expected an integer >= 0")
     size = math.comb(n + max_degree, n)
     _expect(size <= BASIS_CAP, at, f"the basis in {n} variables has {size} monomials, above the cap {BASIS_CAP}")
+    top = max_degree + max(max(t.power) for t in loaded.problem.psi.terms)
+    _expect(top <= DEGREE_CAP, at,
+            f"degrees up to {top} with the powers of psi; factorials past {DEGREE_CAP}! overflow a double")
     an = analyze(loaded.problem, loaded.quad)
     report = _report_base("oracle", loaded)
     section = _classification_section(an)

@@ -31,7 +31,6 @@ from dataclasses import dataclass, field
 from itertools import combinations_with_replacement
 
 import numpy as np
-from scipy.special import gammainc
 
 from .errors import DimensionError, DomainError
 from .funcspace import (
@@ -59,6 +58,9 @@ __all__ = [
 
 #: largest admissible truncated basis
 BASIS_CAP = 5000
+#: largest k whose k! fits a double; the kernel tails and the p = 2 pairings
+#: take k! up to the cutoff degree plus the largest power of psi
+DEGREE_CAP = 170
 #: degrees past the cutoff N that the high-degree block of ``truncated_essential_upper`` keeps
 _MARGIN = 6
 #: radii |w| of the kernel probes and of the witness rays
@@ -284,6 +286,8 @@ def truncated_essential_upper(problem: WcoProblem, spec: TruncationSpec | None =
     (||image|| - its closed-form rounding bound) / sqrt(P(N + 1, |w|^2)), so a
     numerator at its cancellation floor stays below the exact quotient.
     """
+    from scipy.special import gammainc  # imported here: loading it dominates start-up time
+
     spec = spec or TruncationSpec()
     if not (problem.p == 2.0 and problem.q == 2.0):
         raise DomainError("the matrix oracle works on the p = q = 2 space")

@@ -31,7 +31,6 @@ from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
-from scipy.special import gamma, hyp1f1
 
 from .errors import DimensionError, DomainError
 from .funcspace import ExpPoly, slice_head
@@ -107,6 +106,8 @@ def single_term_norm(coeff: complex, power: tuple[int, ...], freq: tuple[complex
     log_total = math.log(abs(coeff)) if coeff != 0 else -math.inf
     if coeff == 0:
         return 0.0
+    if any(power):
+        from scipy.special import gamma, hyp1f1  # imported here: loading it dominates start-up time
     for a, c in zip(power, freq):
         m = p * a
         x = p * (abs(c) ** 2) / 2.0

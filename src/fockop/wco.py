@@ -40,7 +40,6 @@ from functools import cached_property
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
-from scipy.special import gamma, hyp1f1
 
 from .errors import DimensionError, DomainError, UnsupportedExponentsError
 from .funcspace import AffineMap, ExpPoly, Term, compose_affine
@@ -541,6 +540,8 @@ def _closed_form_log_integral(profile: EllProfile, r: float) -> float:
     with m = r d and t = (1 - a^2)/2.
     """
     log_total = r * math.log(profile.constant_factor)
+    if any(profile.deg):
+        from scipy.special import gamma, hyp1f1  # imported here: loading it dominates start-up time
     for a, w, d in zip(profile.a, profile.w, profile.deg):
         t = (1.0 - a * a) / 2.0
         if t <= 0.0:

@@ -10,6 +10,7 @@ with t = (1-a^2)/2 per coordinate.
 """
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -48,6 +49,24 @@ def test_lr_norm_closed_form_against_elementary_integral(a, b, c):
     assert rep.member
     assert rep.lr_norm.mode == "closed_form"
     assert rep.lr_norm.value == pytest.approx(expected_lr_1d(prob), rel=1e-12)
+
+
+@pytest.mark.parametrize("k, a, b, c", [(1, 0.5, 0.0, 0.0), (2, 0.7, 0.3, 0.4 - 0.2j), (3, 0.4, -0.2j, 0.5)])
+def test_lr_norm_of_a_monomial_weight_against_radial_integral(k, a, b, c):
+    # psi = z^k e^{z conj(c)} and phi = a z + b give
+    # ell = e^{|b|^2/2} |z|^k e^{-t|z|^2 + Re(z conj(c + a b))} with t = (1-a^2)/2
+    p, q = 4.0, 2.0
+    prob = WcoProblem(ExpPoly(1, (Term(1.0, (k,), (c,)),)), AffineMap([[a]], [b]), p, q)
+    an = analyze(prob)
+    assert an.profile.deg == (k,)
+    assert an.carleson.lr_norm.mode == "closed_form"
+    r, t, w = p * q / (p - q), (1.0 - a * a) / 2.0, abs(c + a * b)
+    with mpmath.workdps(30):
+        radial = mpmath.quad(
+            lambda u: u ** (r * k + 1) * mpmath.besseli(0, r * w * u) * mpmath.exp(-r * t * u * u), [0, mpmath.inf]
+        )
+        want = float((mpmath.exp(r * abs(b) ** 2 / 2) * 2 * mpmath.pi * radial) ** (1 / r))
+    assert an.carleson.lr_norm.value == pytest.approx(want, rel=1e-12)
 
 
 def test_plain_no_drift_value():

@@ -155,6 +155,9 @@ def test_classify_text_mode_is_flat_key_values():
         ("oracle", "02_contraction", "--max-degree", "-1"),
         ("oracle", "07_anisotropic", "--max-degree", "200"),  # 20301 basis monomials, above the cap
         ("verify", "01_identity", "--lemma-count", "0"),
+        ("oracle", "02_contraction", "--max-degree", "171"),  # 171! does not fit a double
+        ("oracle", "02_contraction", "--max-degree", "200"),
+        ("oracle", "12_poly_weight", "--max-degree", "170"),  # psi = z e^{...}: powers up to 171
     ],
 )
 def test_settings_that_cannot_run_exit_two(args):
@@ -164,6 +167,13 @@ def test_settings_that_cannot_run_exit_two(args):
     assert r.stderr.startswith("fockop: ")
     assert "Traceback" not in r.stderr
     assert not r.stdout
+
+
+def test_largest_degree_whose_factorials_fit_gives_a_report():
+    r = run_cli("oracle", str(corpus_path("02_contraction")), "--max-degree", "170")
+    assert r.returncode == 0, r.stderr
+    assert "Traceback" not in r.stderr
+    assert json.loads(r.stdout)["oracle"]["galerkin"]["max_degree"] == 170
 
 
 @pytest.mark.parametrize("quad,key", [({"nodes_per_axis": 4}, "nodes_per_axis"), ({"samples": 100}, "samples")])

@@ -1,8 +1,9 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
-
+import scipy.special
 from scipy.special import gammainc
 
 import fockop as fk
@@ -85,6 +86,23 @@ def test_essential_upper_stays_at_one_for_identity():
     # at its cancellation floor would show here if it were not discounted
     eu = truncated_essential_upper(cop(1.0), fk.TruncationSpec(max_degree=10))
     assert abs(eu - 1.0) <= 1e-12
+
+
+def test_kernel_tail_denominators_match_high_precision(monkeypatch):
+    # each probe divides by sqrt(P(N + 1, |w|^2)); read the P values the oracle takes
+    calls = []
+
+    def recording(a, x):
+        value = gammainc(a, x)
+        calls.append((a, x, float(value)))
+        return value
+
+    monkeypatch.setattr(scipy.special, "gammainc", recording)
+    truncated_essential_upper(cop(0.5, 0.3), fk.TruncationSpec(max_degree=6))
+    assert len(calls) == 4 * 9  # four radii, nine probe directions in C^1
+    for a, x, value in calls:
+        want = float(mpmath.gammainc(a, 0, x, regularized=True))
+        assert value == pytest.approx(want, rel=1e-13)
 
 
 def test_sweep_on_identity_all_unit_quotients():

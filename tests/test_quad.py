@@ -45,6 +45,25 @@ def test_kernel_norm_closed_form(p, w=0.9 + 0.3j):
     assert r.value == pytest.approx(math.exp(abs(w) ** 2 / 2.0), rel=1e-9)
 
 
+def _radial_moment(a, c, p):
+    """(p/2pi) Integral |z|^(pa) e^{p Re(z conj c) - p|z|^2/2} dA as a Bessel radial integral, at 30 digits."""
+    with mpmath.workdps(30):
+        return float(mpmath.quad(
+            lambda r: p * r ** (p * a + 1) * mpmath.besseli(0, p * r * abs(c)) * mpmath.exp(-p * r * r / 2),
+            [0, mpmath.inf],
+        ))
+
+
+@pytest.mark.parametrize("p", [0.5, 1.0, 3.5])
+@pytest.mark.parametrize(
+    "power, freq", [((1,), (0j,)), ((3,), (0.8 - 0.6j,)), ((2, 1), (1.2j, 0j)), ((0, 4), (0.5, -0.3 + 0.4j))]
+)
+def test_single_term_norm_with_powers_matches_radial_integral(p, power, freq):
+    coeff = 1.5 - 2.0j
+    want = abs(coeff) * math.prod(_radial_moment(a, c, p) ** (1.0 / p) for a, c in zip(power, freq))
+    assert quad.single_term_norm(coeff, power, freq, p) == pytest.approx(want, rel=1e-12)
+
+
 def test_constant_norm_is_modulus():
     assert fock_norm(constant(2, 3.0 - 4.0j), 1.7).value == pytest.approx(5.0, rel=1e-10)
 

@@ -2,10 +2,12 @@
 
 No module imports an underscore name from another fockop module, no function
 body imports a fockop module (a lazy import is how a cycle hides), and the
-imports between fockop modules form no cycle; the package exports names, not
-modules; only ``quad`` builds meshgrids or runs a local optimizer; only
-``quad`` and ``wco`` evaluate slice norms or stack grid points; and every
-quadrature setting is one problem-file key and one report field.
+imports between fockop modules form no cycle; scipy is imported only inside
+the functions that call it, so importing fockop and running a closed-form
+command loads numpy alone; the package exports names, not modules; only
+``quad`` builds meshgrids or runs a local optimizer; only ``quad`` and ``wco``
+evaluate slice norms or stack grid points; and every quadrature setting is one
+problem-file key and one report field.
 """
 import ast
 import dataclasses
@@ -64,10 +66,15 @@ def _is_private(name: str) -> bool:
     return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
 
 
-@pytest.mark.parametrize("module", ["fockop.carleson", "fockop.wco"])
+_SCIPY_LOADED = "sorted(m for m in sys.modules if m.startswith('scipy'))"
+
+
+@pytest.mark.parametrize("module", ["fockop.carleson", "fockop.wco", "fockop", "fockop.cli"])
 def test_module_imports_in_fresh_interpreter(module):
-    r = subprocess.run([sys.executable, "-c", f"import {module}"], capture_output=True, text=True)
+    r = subprocess.run([sys.executable, "-c", f"import sys, {module}; print({_SCIPY_LOADED})"],
+                       capture_output=True, text=True)
     assert r.returncode == 0, r.stderr
+    assert r.stdout == "[]\n"
 
 
 def test_no_private_names_cross_modules():
@@ -90,6 +97,38 @@ def test_no_fockop_imports_inside_functions():
         if in_function
     ]
     assert not bad, bad
+
+
+def _module_level_imports(node):
+    """Import statements that run when the module is imported (outside every function body)."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.Import, ast.ImportFrom)):
+            yield child
+        elif not isinstance(child, FUNCTIONS):
+            yield from _module_level_imports(child)
+
+
+def test_no_scipy_imports_at_module_level():
+    bad = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in _module_level_imports(ast.parse(path.read_text(), filename=str(path))):
+            names = [node.module or ""] if isinstance(node, ast.ImportFrom) else [a.name for a in node.names]
+            bad += [f"{path.name}:{node.lineno} imports {name}" for name in names if name.split(".")[0] == "scipy"]
+    assert not bad, bad
+
+
+@pytest.mark.parametrize("command", ["classify", "bounds", "essnorm"])
+def test_closed_form_commands_run_cold_without_scipy(command):
+    code = (
+        "import sys; from fockop import cli; rc = cli.main(sys.argv[1:]); "
+        f"sys.stderr.write(repr({_SCIPY_LOADED})); sys.exit(rc)"
+    )
+    r = subprocess.run(
+        [sys.executable, "-c", code, command, str(corpus_path("06_kernel_weight"))], capture_output=True, text=True
+    )
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.startswith("{")
+    assert r.stderr == "[]"
 
 
 def test_imports_between_modules_form_no_cycle():
