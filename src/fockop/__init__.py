@@ -47,14 +47,12 @@ from .wco import (
     analyze,
     carleson_integral,
     classify,
-    composition_criterion,
     ell_at,
     ell_at_many,
     ell_limsup,
     ell_profile,
     ell_sup,
     essential_norm_bounds,
-    m_at,
     norm_bounds,
     normalize,
     normalize_pair,

@@ -9,20 +9,18 @@ the coefficients of (A z + b)^alpha follow degree by degree from those one
 degree lower, and each term of psi pairs them with the output basis through
 per-coordinate closed forms (``_matrix_block``).  Its norm is the top singular
 value, read by Lanczos iteration on M^H M without forming that Gram matrix
-(``truncated_norm``).  The kernel-tail quotients use the exact inner product
-``f2_inner``, which ``fock_norm`` also uses at p = 2 and which the
-Gauss-Hermite path (``allow_closed_form=False``) cross-checks.  This gives an
-oracle for operator norms, essential norms and compactness.
+(``truncated_norm``).  This gives an oracle for operator norms, essential
+norms and compactness.
 
-The kernel-tail images need no symbol algebra beyond one product with psi:
-with v = A* w and beta = <b, w>,
-
-    W (I - P_N) k_w = e^{-|w|^2/2} psi (e^beta e^{<z, v>}
-                      - sum_{|gamma| <= N} conj(v)^gamma / gamma! e_{N - |gamma|}(beta) z^gamma),
-
-where e_m(beta) = sum_{i <= m} beta^i / i! is the exponential's Taylor cut.
-A probe counts as (||image|| - its rounding bound) / ||(I - P_N) k_w||, which
-stays below the exact quotient, so no probe inflates the estimate.
+The kernel-tail probes W (I - P_N) k_w of the essential-norm estimate need
+no symbol algebra either.  Their Taylor terms psi_t z^gamma do not depend on
+w, so the squared norms of all probes are one batched quadratic form over the
+Gram matrix ``quad.f2_gram`` of all their terms, in the orthonormal powers
+z^k / sqrt(k!), with no term merged or dropped.  A probe counts as
+sqrt(S - delta) / ||(I - P_N) k_w|| for its computed square S and the
+rounding bound delta = gamma_m (sum_a |c_a| ||u_a||)^2 over its terms, so it
+stays below the exact quotient (``truncated_essential_upper``).  ``f2_inner``
+contracts the same Gram blocks for ``fock_norm`` at p = 2.
 """
 from __future__ import annotations
 
@@ -33,16 +31,8 @@ from itertools import combinations_with_replacement
 import numpy as np
 
 from .errors import DimensionError, DomainError
-from .funcspace import (
-    ExpPoly,
-    Term,
-    apply_wco,
-    kernel,
-    monomial,
-    multiply,
-    normalized_kernel,
-)
-from .quad import DEFAULT_SPEC, QuadSpec, f2_inner, fock_norm
+from .funcspace import ExpPoly, apply_wco, kernel, monomial, multiply, normalized_kernel
+from .quad import DEFAULT_SPEC, QuadSpec, f2_gram, f2_inner, fock_norm
 from .wco import WcoProblem
 
 __all__ = [
@@ -253,21 +243,103 @@ def _probe_directions(n: int) -> list[np.ndarray]:
     return dirs
 
 
-def _kernel_tail_image(problem: WcoProblem, w: np.ndarray, low: np.ndarray) -> ExpPoly:
-    """W (I - P_N) k_w by the multinomial closed form; ``low`` holds the |gamma| <= N."""
+def _kernel_tail_quotients(problem: WcoProblem, N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Lower bounds of ||W (I - P_N) k_w|| / ||(I - P_N) k_w|| over the kernel probes, with their floors.
+
+    The probes w = r d run over ``_KERNEL_RADII``, then ``_probe_directions``.
+    Each image (see ``truncated_essential_upper``) has T kernel terms
+    psi_t e^{<z, v>} of its own and the Taylor terms psi_t z^gamma, |gamma| <= N,
+    which every probe shares.  All terms of all probes, in the orthonormal
+    powers e_k = z^k / sqrt(k!), go into one ``f2_gram``; a probe's squared
+    norm S is the quadratic form of its coefficient column, which is zero
+    outside its own kernel terms and the Taylor terms.  No term is merged or
+    dropped.
+
+    The form is evaluated with error at most delta = gamma_m (sum_a |c_a| ||u_a||)^2
+    over the probe's terms c_a u_a with c_a != 0, ||u_a|| read off the Gram
+    diagonal, as in ``quad.fock_norm`` at p = 2: the sums taken in absolute
+    value are a positive kernel's Gram form, which Cauchy-Schwarz bounds by
+    its diagonal, and adding a zero is exact, so the other probes' terms add no
+    rounding.  The chain m counts, per coordinate, 2 P + 13 roundings of a
+    pairing entry with powers up to P (2 P + 7 with raw powers, plus three for
+    each division by sqrt(k!)), 4 F^2 for the exponential e^{conj(c) e} with
+    |c|, |e| <= F over the probe's frequencies (its argument carries a rounding
+    of relative size 2u), and 2 per term for the two contractions.  As for a
+    given symbol, the coefficients are the computed ones.  A probe counts as
+    sqrt(S - delta), the lower end of its rounding interval, over
+    sqrt(P(N + 1, |w|^2)).  Returns the probe points, their quotients and their
+    floors sqrt(delta) / sqrt(P(N + 1, |w|^2)), the largest quotient rounding
+    alone can give, over the probes whose denominator is nonzero and whose
+    form fits a double.
+    """
+    from scipy.special import gammainc  # imported here: loading it dominates start-up time
+
     n = problem.n
-    degree = low.sum(axis=1)
-    N = int(degree.max())
-    v = problem.phi.A.conj().T @ w
-    beta = complex(np.sum(problem.phi.b * np.conj(w)))
-    scale = math.exp(-0.5 * float(np.sum(np.abs(w) ** 2)))
-    fact = np.array([float(math.factorial(k)) for k in range(N + 1)])
-    partial = np.cumsum(beta ** np.arange(N + 1) / fact)  # e_m(beta) for m <= N
-    coeffs = np.prod(np.conj(v) ** low, axis=1) / np.prod(fact[low], axis=1)
-    coeffs *= -scale * partial[N - degree]
-    terms = [Term(scale * complex(np.exp(beta)), (0,) * n, tuple(v))]
-    terms += [Term(c, tuple(g), (0j,) * n) for c, g in zip(coeffs.tolist(), low.tolist())]
-    return multiply(problem.psi, ExpPoly(n, tuple(terms)))
+    points, denoms = [], []
+    for r in _KERNEL_RADII:
+        for d in _probe_directions(n):
+            w = r * d
+            # ||(I - P_N) k_w||^2 = 1 - e^{-|w|^2} sum_{k <= N} |w|^(2k) / k!
+            #                    = P(N + 1, |w|^2), the regularized incomplete gamma
+            denom = math.sqrt(gammainc(N + 1, float(np.sum(np.abs(w) ** 2))))
+            if denom > 0.0:
+                points.append(w)
+                denoms.append(denom)
+    if not points:
+        return np.zeros((0, n), dtype=complex), np.zeros(0), np.zeros(0)
+    w = np.array(points)
+    v = w @ problem.phi.A.conj()  # rows A* w
+    beta = w.conj() @ problem.phi.b
+    s = np.exp(-0.5 * np.sum(np.abs(w) ** 2, axis=1))
+    probes = len(w)
+
+    psi = problem.psi.terms
+    c = np.array([t.coeff for t in psi])
+    g = np.array([t.power for t in psi])
+    f = np.array([t.freq for t in psi], dtype=complex)
+    low = np.array(basis_indices(n, N))
+    fact = np.array([float(math.factorial(k)) for k in range(N + int(g.max()) + 1)])
+    root = np.sqrt(fact)
+
+    # rows: the kernel terms (probe, t), then the Taylor terms (t, gamma)
+    kernels = probes * len(psi)
+    powers = np.concatenate([np.tile(g, (probes, 1)), (g[:, None] + low[None]).reshape(-1, n)])
+    freqs = np.concatenate([(v[:, None] + f[None]).reshape(-1, n), np.repeat(f, len(low), axis=0)])
+    X = np.zeros((len(powers), probes), dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        kernel_coeff = (s * np.exp(beta))[:, None] * (c * np.prod(root[g], axis=1))
+        X[np.arange(kernels), np.repeat(np.arange(probes), len(psi))] = kernel_coeff.ravel()
+        # e_m(beta) for m <= N from the terms beta^i / i!, and conj(v_i)^k per coordinate
+        steps = np.ones((probes, N + 1), dtype=complex)
+        steps[:, 1:] = beta[:, None] / np.arange(1, N + 1)
+        partial = np.cumsum(np.cumprod(steps, axis=1), axis=1)
+        vpow = np.ones((probes, n, N + 1), dtype=complex)
+        vpow[:, :, 1:] = np.conj(v)[:, :, None]
+        vpow = np.cumprod(vpow, axis=2)
+        taylor = -s[:, None] * partial[:, N - low.sum(axis=1)]
+        for t in range(len(psi)):
+            # conj(v)^gamma / gamma! times sqrt((g_t + gamma)!), coordinate by coordinate
+            mono = math.prod(
+                vpow[:, i, low[:, i]] * (root[g[t, i] + low[:, i]] / fact[low[:, i]]) for i in range(n)
+            )
+            X[kernels + t * len(low): kernels + (t + 1) * len(low)] = (c[t] * taylor * mono).T
+
+        square = np.zeros(probes)
+        diag = np.zeros(len(powers))
+        conj = X.conj()
+        for rows, block in f2_gram(powers, freqs, powers, freqs, orthonormal=True):
+            square += np.einsum("ap,ap->p", X[rows], block @ conj).real
+            diag[rows] = block[:, rows].diagonal().real
+        absolute = np.abs(X).T @ np.sqrt(diag)
+
+    live = X != 0
+    top_freq = np.max(live * np.linalg.norm(freqs, axis=1)[:, None], axis=0)
+    chain = n * (2 * int(powers.max()) + 13) + 2 * live.sum(axis=0) + 2 + np.ceil(4.0 * top_freq**2)
+    unit = np.finfo(float).eps / 2.0
+    delta = chain * unit / (1.0 - chain * unit) * absolute**2
+    denom = np.array(denoms)
+    ok = np.isfinite(square) & np.isfinite(delta)
+    return w[ok], np.sqrt(np.maximum(square - delta, 0.0))[ok] / denom[ok], np.sqrt(delta[ok]) / denom[ok]
 
 
 def truncated_essential_upper(problem: WcoProblem, spec: TruncationSpec | None = None) -> float:
@@ -282,30 +354,22 @@ def truncated_essential_upper(problem: WcoProblem, spec: TruncationSpec | None =
         e^{-|w|^2/2} psi (e^beta e^{<z, v>}
                           - sum_{|gamma| <= N} conj(v)^gamma / gamma! e_{N - |gamma|}(beta) z^gamma),
 
-    with e_m(beta) = sum_{i <= m} beta^i / i!.  A probe counts as
-    (||image|| - its closed-form rounding bound) / sqrt(P(N + 1, |w|^2)), so a
-    numerator at its cancellation floor stays below the exact quotient.
+    with e_m(beta) = sum_{i <= m} beta^i / i!.  The Taylor terms psi_t z^gamma
+    are the same for every w, so the squared norms of all probes are one
+    batched quadratic form over the Gram matrix of their terms in the
+    orthonormal powers, with no term merged or dropped.  Its rounding error is
+    at most delta = gamma_m (sum_a |c_a| ||u_a||)^2 over a probe's nonzero
+    terms c_a u_a (``_kernel_tail_quotients`` counts m), and a probe counts as
+    sqrt(S - delta) / sqrt(P(N + 1, |w|^2)) for its computed squared norm S,
+    so a numerator at its cancellation floor stays below the exact quotient.
     """
-    from scipy.special import gammainc  # imported here: loading it dominates start-up time
-
     spec = spec or TruncationSpec()
     if not (problem.p == 2.0 and problem.q == 2.0):
         raise DomainError("the matrix oracle works on the p = q = 2 space")
     N = spec.max_degree
     best = truncated_norm(_matrix_block(problem, N + _MARGIN, N + 1))
-
-    low = np.array(basis_indices(problem.n, N), dtype=int)
-    for r in _KERNEL_RADII:
-        for d in _probe_directions(problem.n):
-            w = r * d
-            # ||(I - P_N) k_w||^2 = 1 - e^{-|w|^2} sum_{k <= N} |w|^(2k) / k!
-            #                    = P(N + 1, |w|^2), the regularized incomplete gamma
-            denom = math.sqrt(gammainc(N + 1, float(np.sum(np.abs(w) ** 2))))
-            if denom == 0.0:
-                continue
-            num = fock_norm(_kernel_tail_image(problem, w, low), 2.0)
-            best = max(best, (num.value - num.err_estimate) / denom)
-    return best
+    _, quotients, _ = _kernel_tail_quotients(problem, N)
+    return max(best, float(quotients.max(initial=0.0)))
 
 
 @dataclass(frozen=True)

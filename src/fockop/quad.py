@@ -8,7 +8,8 @@ and ``fock_sup_norm`` the weighted sup  sup_z |f(z)| exp(-|z|^2/2).
 
 Single-term symbols have exact closed forms (the integrals reduce to Gaussian
 radial moments), and at p = 2 every symbol does: ``f2_inner`` is the exact
-inner product of the p = 2 space, a finite sum per coordinate.  Other
+inner product of the p = 2 space, a finite sum per coordinate, contracted
+from the row blocks of the term Gram matrix ``f2_gram``.  Other
 exponents go through tensor-product Gauss-Hermite quadrature centered at the
 mean frequency, which also runs at p = 2 when ``allow_closed_form=False`` and
 serves there as the cross-check.
@@ -36,8 +37,8 @@ from .errors import DimensionError, DomainError
 from .funcspace import ExpPoly, slice_head
 from .linalg import as_cvector
 
-__all__ = ["QuadSpec", "NormResult", "f2_inner", "fock_norm", "fock_sup_norm", "grid_blocks", "slice_norm",
-           "tensor_sup", "tensor_values"]
+__all__ = ["QuadSpec", "NormResult", "f2_gram", "f2_inner", "fock_norm", "fock_sup_norm", "grid_blocks",
+           "slice_norm", "tensor_sup", "tensor_values"]
 
 
 #: fewest Gauss-Hermite nodes per real axis a certified quadrature takes
@@ -148,7 +149,7 @@ def factor_log_max(a: float, wmod: float, d: int) -> float:
 
 # -- the exact p = 2 inner product -------------------------------------------
 
-#: largest number of term pairs ``f2_inner`` holds in memory at once
+#: largest number of term pairs a block of ``f2_gram`` holds, unless one row holds more
 _GRAM_BLOCK = 1 << 20
 _UNIT_ROUNDOFF = 2.0 ** -53
 
@@ -161,16 +162,18 @@ def _pair_weights(top: int) -> tuple[np.ndarray, np.ndarray]:
     return fact, binom
 
 
-def _distinct_pairs(terms, i: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Distinct (power, frequency) pairs of coordinate ``i`` and each term's row among them."""
+def _distinct_pairs(powers: np.ndarray, freqs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Distinct (power, frequency) pairs of one coordinate and each term's row among them."""
     rows: dict[tuple[int, complex], int] = {}
-    index = np.array([rows.setdefault((t.power[i], t.freq[i]), len(rows)) for t in terms])
+    index = np.array([rows.setdefault(key, len(rows)) for key in zip(powers.tolist(), freqs.tolist())])
     powers = np.array([key[0] for key in rows])
     freqs = np.array([key[1] for key in rows], dtype=complex)
     return powers, freqs, index
 
 
-def _coordinate_table(gs: np.ndarray, cs: np.ndarray, ds: np.ndarray, es: np.ndarray) -> np.ndarray:
+def _coordinate_table(
+    gs: np.ndarray, cs: np.ndarray, ds: np.ndarray, es: np.ndarray, orthonormal: bool = False
+) -> np.ndarray:
     """<z^g e^{z conj(c)}, z^d e^{z conj(e)}> on the one-variable p = 2 space.
 
     Because z^d e^{z conj(e)} is the d-th derivative in conj(e) of the
@@ -179,44 +182,75 @@ def _coordinate_table(gs: np.ndarray, cs: np.ndarray, ds: np.ndarray, es: np.nda
 
         e^{conj(c) e} * sum_{j <= min(g, d)} j! C(g, j) C(d, j) e^(g-j) conj(c)^(d-j),
 
-    a finite sum, for every pair of rows (g, c) and columns (d, e).
+    a finite sum, for every pair of rows (g, c) and columns (d, e).  With
+    ``orthonormal`` the powers are e_g = z^g / sqrt(g!) instead; the j-th term
+    is then sqrt(C(g, j) C(d, j)) e^(g-j) / sqrt((g-j)!) conj(c)^(d-j) / sqrt((d-j)!),
+    whose factors stay near the size of the result for every degree whose
+    factorial fits a double.
     """
     cb = np.conj(cs)
     top_g, top_d = int(gs.max()), int(ds.max())
     e_pow = np.vander(es, top_g + 1, increasing=True)  # e_pow[b, k] = e_b^k
     c_pow = np.vander(cb, top_d + 1, increasing=True)  # c_pow[a, k] = conj(c_a)^k
+    fact, binom = _pair_weights(max(top_g, top_d))
+    if orthonormal:
+        e_pow /= np.sqrt(fact[: top_g + 1])
+        c_pow /= np.sqrt(fact[: top_d + 1])
+        left = right = np.sqrt(binom)
+    else:
+        left, right = fact * binom, binom
     total = e_pow[:, gs].T * c_pow[:, ds]  # the j = 0 term
-    if min(top_g, top_d) > 0:
-        fact, binom = _pair_weights(max(top_g, top_d))
-        for j in range(1, min(top_g, top_d) + 1):
-            weight = np.outer(fact[j] * binom[gs, j], binom[ds, j])
-            total += weight * e_pow[:, np.maximum(gs - j, 0)].T * c_pow[:, np.maximum(ds - j, 0)]
+    for j in range(1, min(top_g, top_d) + 1):
+        weight = np.outer(left[gs, j], right[ds, j])
+        total += weight * e_pow[:, np.maximum(gs - j, 0)].T * c_pow[:, np.maximum(ds - j, 0)]
     return np.exp(np.outer(cb, es)) * total
+
+
+def f2_gram(
+    powers: np.ndarray, freqs: np.ndarray, col_powers: np.ndarray, col_freqs: np.ndarray, orthonormal: bool = False
+) -> Iterator[tuple[slice, np.ndarray]]:
+    """Row blocks of the p = 2 Gram matrix G[a, b] = <u_a, v_b> (antilinear in v_b).
+
+    Row a is u_a = z^powers[a] e^{<z, freqs[a]>} and column b is
+    v_b = z^col_powers[b] e^{<z, col_freqs[b]>}, the (terms, n) arrays of
+    powers and frequencies; with ``orthonormal`` every z^k is e_k = z^k / sqrt(k!)
+    instead.  Per coordinate the pairing table is built once over the distinct
+    (power, frequency) pairs, and each block gathers the tables onto its rows
+    and multiplies them across coordinates.  Yields (rows, block) with the
+    blocks in row order, each holding at most ``max(_GRAM_BLOCK, columns)``
+    entries.
+    """
+    tables = []
+    for i in range(powers.shape[1]):
+        gs, cs, rows = _distinct_pairs(powers[:, i], freqs[:, i])
+        ds, es, cols = _distinct_pairs(col_powers[:, i], col_freqs[:, i])
+        tables.append((_coordinate_table(gs, cs, ds, es, orthonormal), rows, cols))
+    step = max(1, _GRAM_BLOCK // len(col_powers))
+    for lo in range(0, len(powers), step):
+        sl = slice(lo, lo + step)
+        yield sl, math.prod(table[np.ix_(rows[sl], cols)] for table, rows, cols in tables)
+
+
+def _term_arrays(f: ExpPoly) -> tuple[np.ndarray, np.ndarray]:
+    """The (terms, n) powers and frequencies of a symbol with at least one term."""
+    return np.array([t.power for t in f.terms]), np.array([t.freq for t in f.terms])
 
 
 def f2_inner(f: ExpPoly, g: ExpPoly) -> complex:
     """Exact p = 2 inner product <f, g> (antilinear in g).
 
-    Per coordinate, the pairing table is built once over that coordinate's
-    distinct (power, frequency) pairs; the tables are gathered onto all term
-    pairs, multiplied across coordinates and contracted with the coefficients.
+    The Gram blocks of ``f2_gram`` between the terms of f and of g are
+    contracted with the coefficients.
     """
     if f.n != g.n:
         raise DimensionError("inner product needs equal arity")
     if not f.terms or not g.terms:
         return 0j
-    tables = []
-    for i in range(f.n):
-        gs, cs, rows = _distinct_pairs(f.terms, i)
-        ds, es, cols = _distinct_pairs(g.terms, i)
-        tables.append((_coordinate_table(gs, cs, ds, es), rows, cols))
     cf = np.array([t.coeff for t in f.terms], dtype=complex)
     cg = np.conj(np.array([t.coeff for t in g.terms], dtype=complex))
-    step = max(1, _GRAM_BLOCK // len(g.terms))
+    rows = _term_arrays(f)
     total = 0j
-    for lo in range(0, len(f.terms), step):
-        sl = slice(lo, lo + step)
-        block = math.prod(table[np.ix_(rows[sl], cols)] for table, rows, cols in tables)
+    for sl, block in f2_gram(*rows, *(rows if g is f else _term_arrays(g))):
         total += complex(cf[sl] @ block @ cg)
     return total
 

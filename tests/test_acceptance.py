@@ -25,7 +25,6 @@ from fockop.verify import (
 from fockop.wco import (
     WcoProblem,
     classify,
-    composition_criterion,
     ell_at_many,
     ell_profile,
     norm_bounds,
@@ -33,7 +32,7 @@ from fockop.wco import (
 )
 
 from conftest import record_acceptance
-from helpers import CORPUS_DIR, corpus_problems
+from helpers import CORPUS_DIR, composition_criterion, corpus_problems
 
 
 def announce(num: int, ok: bool, detail: str) -> bool:

@@ -7,8 +7,8 @@ import scipy.special
 from scipy.special import gammainc
 
 import fockop as fk
-from fockop import cli, oracle, quad
-from fockop.funcspace import AffineMap
+from fockop import cli, funcspace, oracle, quad
+from fockop.funcspace import AffineMap, ExpPoly
 from fockop.oracle import (
     basis_indices,
     compactness_witness,
@@ -216,19 +216,96 @@ def test_matrix_block_matches_symbol_algebra_columns(n, max_degree, drift):
     [(1, 1, 0.0, 1), (1, 1, 0.4, 2), (1, 0, 0.7, 2), (2, 2, 0.3, 3), (2, 1, 0.5, 2), (3, 2, 0.4, 3), (3, 3, 0.0, 2)],
 )
 def test_kernel_tail_image_matches_symbol_algebra(n, rank, drift, psi_terms):
-    # the multinomial closed form against psi * ((I - P_N) k_w o phi) expanded term by term
+    # each probe's batched Gram form against psi * ((I - P_N) k_w o phi) expanded term by term
     rng = np.random.default_rng(100 * n + 10 * rank + psi_terms)
     phi = _seeded_map(rng, n, rank, drift)
     psi = _seeded_symbol(rng, n, psi_terms, max_power=1)
     problem = fk.WcoProblem(psi, phi, 2.0, 2.0)
     N = 6
-    low = np.array(basis_indices(n, N))
-    for radius in (1.0, 3.0):
-        w = rng.normal(size=n) + 1j * rng.normal(size=n)
-        w *= radius / np.linalg.norm(w)
-        closed = oracle._kernel_tail_image(problem, w, low)
-        expanded = fk.apply_wco(psi, phi, _kernel_tail_symbol(w, N))
-        assert closed.almost_equal(expanded, tol=1e-12)
+    points, quotients, floors = oracle._kernel_tail_quotients(problem, N)
+    assert len(points) == len(oracle._KERNEL_RADII) * (n + 8)
+    for w, q, floor in zip(points, quotients, floors):
+        denom = math.sqrt(gammainc(N + 1, float(np.sum(np.abs(w) ** 2))))
+        ref = quad.fock_norm(fk.apply_wco(psi, phi, _kernel_tail_symbol(w, N)), 2.0)
+        assert abs(q - ref.value / denom) <= 2.0 * floor + ref.err_estimate / denom + 1e-12 * q
+
+
+def _tail_quotient_mp(a, b, w, N):
+    """||W (I - P_N) k_w|| / ||(I - P_N) k_w|| for W f = f(a z + b) on C^1, to 50 digits.
+
+    The image s sum_{k > N} conj(w)^k (a z + b)^k / k! has z^m coefficient
+    s (a conj(w))^m / m! times sum_{j >= max(N + 1 - m, 0)} beta^j / j!, with
+    beta = b conj(w) and s = e^{-|w|^2/2}, and ||z^m||^2 = m!.  For b = 0 the
+    squared norm is e^{-|w|^2} sum_{k > N} |a w|^(2k) / k!.
+    """
+    with mpmath.workdps(50):
+        a, b, w = mpmath.mpc(a), mpmath.mpc(b), mpmath.mpc(w)
+        x = abs(w) ** 2
+        beta, u = b * mpmath.conj(w), abs(a * w) ** 2
+        # tails[j0] = sum_{j >= j0} beta^j / j!, summed up to where its terms are below 1e-60 of e^|beta|
+        terms = [mpmath.mpf(1)]
+        while len(terms) <= N + 1 or abs(terms[-1]) > mpmath.mpf(10) ** -60 * mpmath.exp(abs(beta)):
+            terms.append(terms[-1] * beta / len(terms))
+        tails = [mpmath.fsum(terms[j0:]) for j0 in range(N + 2)]
+        square, m, weight = mpmath.mpf(0), 0, mpmath.mpf(1)  # weight = u^m / m!
+        while m <= N + 1 or weight > mpmath.mpf(10) ** -60:
+            square += weight * abs(tails[max(N + 1 - m, 0)]) ** 2
+            m += 1
+            weight *= u / m
+        return mpmath.sqrt(mpmath.exp(-x) * square / mpmath.gammainc(N + 1, 0, x, regularized=True))
+
+
+@pytest.mark.parametrize(
+    "a, b, N",
+    [(0.5, 0.0, 10), (0.8, 0.0, 6), (1.0, 0.0, 10), (0.5 + 0.4j, 0.0, 20),
+     (0.5, 0.3, 10), (0.7, 0.2, 6), (0.6 - 0.3j, 0.5 + 0.2j, 14), (0.5, 0.3, 30)],
+)
+def test_kernel_tail_quotients_against_high_precision(a, b, N):
+    # psi = 1 on C^1: every counted probe stays at or below its exact quotient,
+    # and within 1e-3 of it where it is a hundred times above its floor
+    points, quotients, floors = oracle._kernel_tail_quotients(cop(a, b), N)
+    assert len(points) > 0
+    above = 0
+    for w, q, floor in zip(points, quotients, floors):
+        exact = _tail_quotient_mp(a, b, complex(w[0]), N)
+        assert mpmath.mpf(float(q)) <= exact
+        if exact > 100 * floor:
+            above += 1
+            assert abs(q - float(exact)) <= 1e-3 * float(exact)
+    assert above > 0
+
+
+def test_kernel_tail_quotient_of_rank_deficient_map_is_pinned():
+    # r = 1 on the first axis of 13_rank_deficient_n3: psi = 1, v = (0.8, 0, 0) and beta = 0, so the
+    # quotient is sqrt(sum_{k > 10} 0.64^k / k! / sum_{k > 10} 1 / k!)
+    exact = 0.0845433190470264
+    with mpmath.workdps(50):
+        tail = lambda t: mpmath.nsum(lambda k: t**k / mpmath.factorial(k), [11, mpmath.inf])  # noqa: E731
+        assert abs(mpmath.sqrt(tail(mpmath.mpf("0.64")) / tail(1)) - exact) <= 1e-16
+    loaded = cli.load_problem(corpus_path("13_rank_deficient_n3"))
+    points, quotients, _ = oracle._kernel_tail_quotients(loaded.problem, 10)
+    assert np.allclose(points[0], [1.0, 0.0, 0.0])
+    assert 0.08446 <= quotients[0] <= exact
+
+
+def test_essential_upper_falls_with_the_degree_on_a_compact_map():
+    # 02 is compact (norm about 1.06); no probe may lose its cancellation as N
+    # grows, up to the largest degree whose factorial fits a double
+    loaded = cli.load_problem(corpus_path("02_contraction"))
+    upper = fk.norm_bounds(loaded.problem).upper
+    values = [truncated_essential_upper(loaded.problem, fk.TruncationSpec(max_degree=N)) for N in (10, 30, 60, 170)]
+    assert upper >= values[0] >= values[1] >= values[2] >= values[3] > 0.0
+    assert values[1] <= 1e-8 and values[3] <= 1e-48
+
+
+def test_probes_whose_form_overflows_are_left_out():
+    # psi = e^{30 z}: every kernel term's Gram entry e^{|30 + v|^2} overflows a
+    # double, so no probe counts and the estimate is the Galerkin block's, with no warning
+    prob = fk.WcoProblem(fk.kernel([30.0]), AffineMap([[0.5]], [0.0]), 2.0, 2.0)
+    points, quotients, floors = oracle._kernel_tail_quotients(prob, 10)
+    assert len(points) == len(quotients) == len(floors) == 0
+    block = truncated_norm(oracle._matrix_block(prob, 16, 11))
+    assert truncated_essential_upper(prob, fk.TruncationSpec(max_degree=10)) == block
 
 
 @pytest.mark.parametrize(
@@ -255,27 +332,38 @@ def test_truncated_norm_is_top_singular_value(shape, rank):
 
 def test_essential_upper_reads_only_high_degree_columns(monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("full SVD called")
+        raise AssertionError("full SVD, symbol product or symbol norm called")
 
-    calls, shapes = [], []
-    original_wco, original_norm = oracle.apply_wco, oracle.truncated_norm
+    built, shapes = [], []
+    original_init, original_checked = ExpPoly.__post_init__, ExpPoly._from_checked
+    original_norm = oracle.truncated_norm
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return original_wco(*args, **kwargs)
+    def counted_init(self):
+        built.append(1)
+        original_init(self)
+
+    def counted_checked(cls, n, terms):
+        built.append(1)
+        return original_checked(n, terms)
 
     def recorded(matrix):
         shapes.append(matrix.shape)
         return original_norm(matrix)
 
-    monkeypatch.setattr(np.linalg, "svd", refuse)
-    monkeypatch.setattr(oracle, "apply_wco", counted)
-    monkeypatch.setattr(oracle, "truncated_norm", recorded)
     loaded = cli.load_problem(corpus_path("13_rank_deficient_n3"))
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+    for module in (oracle, funcspace):
+        monkeypatch.setattr(module, "apply_wco", refuse)
+        monkeypatch.setattr(module, "multiply", refuse)
+    for module in (oracle, quad):
+        monkeypatch.setattr(module, "fock_norm", refuse)
+    monkeypatch.setattr(ExpPoly, "__post_init__", counted_init)
+    monkeypatch.setattr(ExpPoly, "_from_checked", classmethod(counted_checked))
+    monkeypatch.setattr(oracle, "truncated_norm", recorded)
     spec = fk.TruncationSpec(max_degree=10)
     assert truncated_essential_upper(loaded.problem, spec) > 0.0
     # one Galerkin column per |alpha| in 11..16 on C^3, no symbol algebra per column or probe
-    assert not calls
+    assert not built
     assert shapes == [(math.comb(16 + 3, 3), math.comb(16 + 3, 3) - math.comb(10 + 3, 3))] == [(969, 683)]
 
 

@@ -22,16 +22,16 @@ from fockop.wco import (
     WcoProblem,
     alternative_normalization,
     classify,
-    composition_criterion,
     ell_at,
     ell_limsup,
     ell_profile,
     ell_sup,
     essential_norm_bounds,
-    m_at,
     norm_bounds,
     normalize,
 )
+
+from helpers import composition_criterion, m_at
 
 
 def problem_07():
