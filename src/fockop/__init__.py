@@ -33,7 +33,7 @@ from .funcspace import (
     slice_tail,
 )
 from .linalg import SvdTriple, is_unitary, spectral_norm, svd
-from .quad import NormResult, QuadSpec, fock_norm, fock_sup_norm, slice_norm
+from .quad import NormResult, QuadSpec, fock_norm, slice_norm
 from .wco import (
     Analysis,
     CarlesonReport,

@@ -199,10 +199,7 @@ def _extended(x: float) -> dict:
 
 
 def _norm_result(nr: NormResult) -> dict:
-    out = {"value": _extended(nr.value), "method": nr.mode, "err_estimate": _extended(nr.err_estimate)}
-    if nr.tail_radius is not None:
-        out["tail_radius"] = float(nr.tail_radius)
-    return out
+    return {"value": _extended(nr.value), "method": nr.mode, "err_estimate": _extended(nr.err_estimate)}
 
 
 def _encode_problem(loaded: LoadedProblem) -> dict:

@@ -4,7 +4,8 @@
 
     ||f||_p = ( (p/2pi)^n  Integral_{C^n} |f(z)|^p exp(-p|z|^2/2) dA(z) )^(1/p)
 
-and ``fock_sup_norm`` the weighted sup  sup_z |f(z)| exp(-|z|^2/2).
+and ``slice_norm_many`` the norms, in the last n - s variables, of f with
+its first s coordinates frozen at many head points at once.
 
 Single-term symbols have exact closed forms (the integrals reduce to Gaussian
 radial moments), and at p = 2 every symbol does: ``f2_inner`` is the exact
@@ -34,11 +35,11 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import DimensionError, DomainError
-from .funcspace import ExpPoly, slice_head
+from .funcspace import COEFF_DROP_TOL, FREQ_MERGE_TOL, ExpPoly, slice_head
 from .linalg import as_cvector
 
-__all__ = ["QuadSpec", "NormResult", "f2_gram", "f2_inner", "fock_norm", "fock_sup_norm", "grid_blocks",
-           "slice_norm", "tensor_sup", "tensor_values"]
+__all__ = ["QuadSpec", "NormResult", "f2_gram", "f2_inner", "fock_norm", "grid_blocks", "slice_norm",
+           "slice_norm_many", "tensor_sup", "tensor_values"]
 
 
 #: fewest Gauss-Hermite nodes per real axis a certified quadrature takes
@@ -76,15 +77,12 @@ class NormResult:
 
     ``mode`` is closed_form or quadrature.  Single-term
     closed forms carry err_estimate 0; the p = 2 closed form of a multi-term
-    symbol carries a floating-point rounding bound.  ``tail_radius`` records,
-    for sup searches, the radius beyond which the analytic tail bound rules
-    out a larger value.
+    symbol carries a floating-point rounding bound.
     """
 
     value: float
     mode: str
     err_estimate: float
-    tail_radius: float | None = None
 
 
 def _check_p(p: float) -> float:
@@ -135,8 +133,7 @@ def factor_argmax(a: float, wmod: float, d: int) -> float:
 def factor_log_max(a: float, wmod: float, d: int) -> float:
     """log sup over rho >= 0 of  d log(rho) + wmod rho - ((1-a^2)/2) rho^2.
 
-    It is one coordinate's factor of sup ell; a = 0 gives the weighted sup of
-    |z|^d e^{wmod |z|}, a coordinate's factor of a single term's sup norm.
+    It is one coordinate's factor of sup ell.
     """
     t = (1.0 - a * a) / 2.0
     if t <= 0.0:
@@ -352,6 +349,13 @@ def grid_points(axes: Sequence[np.ndarray], rows: slice) -> np.ndarray:
     return np.stack([m.ravel() for m in mesh], axis=-1)
 
 
+def _factor_tables(powers: Sequence, freqs: Sequence, axes: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """Per axis i, the (terms, nodes) table of z^powers[t][i] e^{z conj(freqs[t][i])} over the nodes z of axes[i]."""
+    return [
+        np.array([np.exp(z * np.conj(f[i])) * z ** g[i] for g, f in zip(powers, freqs)]) for i, z in enumerate(axes)
+    ]
+
+
 def tensor_values(f: ExpPoly, axes: Sequence[np.ndarray]) -> Iterator[tuple[slice, np.ndarray]]:
     """``f`` on the tensor grid of the complex ``axes`` (one per variable), block by block.
 
@@ -363,9 +367,7 @@ def tensor_values(f: ExpPoly, axes: Sequence[np.ndarray]) -> Iterator[tuple[slic
     axis's table sums over the terms.
     """
     coeffs = np.array([t.coeff for t in f.terms], dtype=complex)
-    tables = [
-        np.array([np.exp(z * np.conj(freq[i])) * z ** power[i] for _, power, freq in f.terms]) for i, z in enumerate(axes)
-    ]
+    tables = _factor_tables([t.power for t in f.terms], [t.freq for t in f.terms], axes)
     sizes = [len(z) for z in axes]
     for rows in grid_blocks(sizes):
         if f.n == 1:
@@ -377,23 +379,45 @@ def tensor_values(f: ExpPoly, axes: Sequence[np.ndarray]) -> Iterator[tuple[slic
         yield rows, (g.T @ tables[-1]).reshape(-1, *sizes[1:])
 
 
+def _gh_integrals(coeffs: np.ndarray, powers: Sequence, freqs: Sequence, p: float, k: int) -> np.ndarray:
+    """Gauss-Hermite values, k nodes per real axis, of ||f_m||_p^p for every row m of ``coeffs``.
+
+    f_m = sum_t coeffs[m, t] z^powers[t] e^{<z, freqs[t]>}.  The rule is
+    centred at the mean frequency.  Each ``grid_blocks`` block of nodes is
+    evaluated as in ``tensor_values``, with each row's coefficients scaling
+    the first axis's table, for as many rows at once as keep the values within
+    ``_GRID_BLOCK`` entries; the weights are contracted into |values|^p one
+    axis at a time, the first axis first.
+    """
+    center = np.mean(np.array(freqs, dtype=complex), axis=0)
+    coords, weights = zip(*(coordinate_grid(complex(c), p, k) for c in center))
+    tables = _factor_tables(powers, freqs, coords)
+    sizes = [len(z) for z in coords]
+    total = np.zeros(len(coeffs))
+    for rows in grid_blocks(sizes):
+        step = max(1, _GRID_BLOCK // (len(coords[0][rows]) * math.prod(sizes[1:])))
+        for lo in range(0, len(coeffs), step):
+            c = coeffs[lo : lo + step]
+            if len(tables) == 1:
+                total[lo : lo + step] += np.sum(np.abs(c @ tables[0][:, rows]) ** p * weights[0][rows], axis=1)
+                continue
+            vals = c[:, :, None] * tables[0][:, rows]
+            for table in tables[1:-1]:
+                vals = (vals[..., None] * table[:, None, :]).reshape(len(c), len(table), -1)
+            h = np.abs(np.swapaxes(vals, 1, 2) @ tables[-1]) ** p
+            acc = weights[0][rows] @ h.reshape(len(c), len(weights[0][rows]), -1)
+            for w in weights[1:-1]:
+                acc = w @ acc.reshape(len(c), len(w), -1)
+            total[lo : lo + step] += acc @ weights[-1]
+    return total
+
+
 def _gh_integral_norm(f: ExpPoly, p: float, k: int) -> float:
     """Quadrature value of the norm using k nodes per real axis, summed block by block."""
     if not f.terms:
         return 0.0
-    center = np.mean(np.array([t.freq for t in f.terms], dtype=complex), axis=0)
-    coords, weights = zip(*(coordinate_grid(complex(c), p, k) for c in center))
-    total = 0.0
-    for rows, vals in tensor_values(f, coords):
-        h = np.abs(vals) ** p
-        if f.n == 1:
-            total += float(np.sum(h * weights[0][rows]))
-            continue
-        # contract the weights into |f|^p one axis at a time, the first axis first
-        acc = weights[0][rows] @ h.reshape(len(h), -1)
-        for w in weights[1:-1]:
-            acc = w @ acc.reshape(len(w), -1)
-        total += float(acc @ weights[-1])
+    coeffs = np.array([[t.coeff for t in f.terms]], dtype=complex)
+    total = float(_gh_integrals(coeffs, [t.power for t in f.terms], [t.freq for t in f.terms], p, k)[0])
     return max(total, 0.0) ** (1.0 / p)
 
 
@@ -424,15 +448,6 @@ def fock_norm(f: ExpPoly, p: float, spec: QuadSpec | None = None) -> NormResult:
     check = _gh_integral_norm(f, p, k2)
     err = max(abs(value - check), 1e-11 * (1.0 + abs(value)))
     return NormResult(value, "quadrature", err)
-
-
-def _tail_bound(f: ExpPoly, r: float) -> float:
-    """Upper bound for |f(z)| e^{-|z|^2/2} on |z| >= r (valid once decreasing)."""
-    total = 0.0
-    for coeff, power, freq in f.terms:
-        cmod = float(np.linalg.norm(np.array(freq, dtype=complex)))
-        total += abs(coeff) * r ** sum(power) * math.exp(cmod * r - r * r / 2.0)
-    return total
 
 
 def tensor_sup(blocks: Iterable, axes: Sequence[np.ndarray], free: Sequence[int], value_at: Callable, refine_iters: int):
@@ -484,55 +499,6 @@ def tensor_sup(blocks: Iterable, axes: Sequence[np.ndarray], free: Sequence[int]
     return refined, abs(refined - best), edge
 
 
-#: points per real axis of the sup-norm search grid, by number of variables (7 beyond)
-_SUP_GRID = {1: 41, 2: 15}
-
-
-def fock_sup_norm(f: ExpPoly, spec: QuadSpec | None = None) -> NormResult:
-    """Weighted sup-norm sup |f(z)| e^{-|z|^2/2}.
-
-    Single terms are exact; otherwise ``tensor_sup`` searches a grid inside an
-    analytically safe radius, so the result is a certified lower bound that
-    misses the true sup by at most the grid/polish error.
-    """
-    spec = spec or DEFAULT_SPEC
-    if f.is_zero():
-        return NormResult(0.0, "closed_form", 0.0)
-    if len(f.terms) == 1 and spec.allow_closed_form:
-        coeff, power, freq = f.terms[0]
-        log_sup = sum((factor_log_max(0.0, abs(c), k) for k, c in zip(power, freq)), start=math.log(abs(coeff)))
-        return NormResult(math.exp(log_sup), "closed_form", 0.0)
-
-    n = f.n
-    cmax = max(
-        float(np.linalg.norm(np.array(t.freq, dtype=complex))) for t in f.terms
-    )
-    tcount = len(f.terms)
-    maxc = f.max_coeff_modulus()
-    maxdeg = f.degree()
-    radius = cmax + 2.0
-    for _ in range(2):
-        radius = cmax + math.sqrt(
-            max(0.0, 2.0 * math.log(max(tcount * maxc, 1.0))) + 4.0 * maxdeg * math.log1p(radius)
-        )
-        radius = max(radius, cmax + 2.0)
-    if spec.sup_radius is not None:
-        radius = max(radius, float(spec.sup_radius))
-
-    line = np.linspace(-radius, radius, _SUP_GRID.get(n, 7))
-    axes = [plane_axis(line, line)] * n
-    blocks = (
-        (rows, np.abs(vals) * np.exp(-sum(np.abs(z) ** 2 for z in block_axes(axes, rows)) / 2.0))
-        for rows, vals in tensor_values(f, axes)
-    )
-
-    value_at = lambda z: abs(f.eval(z)) * math.exp(-float(np.sum(np.abs(z) ** 2)) / 2.0)  # noqa: E731
-    refined, err, _ = tensor_sup(blocks, axes, range(n), value_at, spec.refine_iters)
-    while _tail_bound(f, radius) > refined and radius < 80.0:
-        radius += 2.0
-    return NormResult(refined, "quadrature", err, tail_radius=radius)
-
-
 def slice_norm(psi: ExpPoly, q: float, head: Sequence[complex], spec: QuadSpec | None = None) -> NormResult:
     """Norm in the remaining variables after freezing the first s coordinates.
 
@@ -547,3 +513,86 @@ def slice_norm(psi: ExpPoly, q: float, head: Sequence[complex], spec: QuadSpec |
         return NormResult(abs(psi.eval(h)), "closed_form", 0.0)
     return fock_norm(slice_head(psi, h), q, spec)
 
+
+@lru_cache(maxsize=8)
+def _tail_groups(psi: ExpPoly, s: int) -> tuple[tuple, tuple, tuple]:
+    """psi's terms grouped by their tail (the coordinates from s on) as ``slice_head``'s canonical form merges them.
+
+    Returns (members, tail powers, tail frequencies), one entry per group in
+    the canonical order of the tails, each group's members (term indices) in
+    the order their coefficients are added; a group's tail is its first member's.
+    """
+    key = lambda t: (psi.terms[t].power[s:], tuple((c.real, c.imag) for c in psi.terms[t].freq[s:]))  # noqa: E731
+    members, powers, freqs = [], [], []
+    for t in sorted(range(len(psi.terms)), key=key):
+        power, freq = psi.terms[t].power[s:], psi.terms[t].freq[s:]
+        if members and powers[-1] == power and all(abs(a - b) <= FREQ_MERGE_TOL for a, b in zip(freqs[-1], freq)):
+            members[-1] += (t,)
+        else:
+            members.append((t,))
+            powers.append(power)
+            freqs.append(freq)
+    return tuple(members), tuple(powers), tuple(freqs)
+
+
+@lru_cache(maxsize=8)
+def _tail_gram(psi: ExpPoly, s: int) -> np.ndarray:
+    """The p = 2 Gram matrix of the tails of ``_tail_groups(psi, s)`` (read-only)."""
+    _, powers, freqs = _tail_groups(psi, s)
+    powers, freqs = np.array(powers), np.array(freqs, dtype=complex)
+    gram = np.concatenate([block for _, block in f2_gram(powers, freqs, powers, freqs)])
+    gram.setflags(write=False)
+    return gram
+
+
+def slice_norm_many(psi: ExpPoly, q: float, heads: np.ndarray, spec: QuadSpec | None = None) -> np.ndarray:
+    """``slice_norm(psi, q, h, spec).value`` at every row h of the (M, s) array ``heads``, in one pass.
+
+    Freezing the head changes only the coefficients: term t becomes
+    c_t(h) = c_t prod_{i<s} h_i^{g_{t,i}} e^{h_i conj(f_{t,i})} times its tail.
+    Tails are grouped, and small coefficients dropped per point, as
+    ``slice_head`` canonicalizes.  At p = 2 the square norm is the Hermitian
+    form of the coefficients with the tails' Gram matrix, built once per
+    symbol; at other exponents a point with one surviving term takes its
+    closed form, and the others the Gauss-Hermite rule of ``fock_norm`` at
+    the centre of their surviving tails, one batched evaluation per set of
+    survivors.  Only the value is computed, not the coarse-rule error estimate.
+    """
+    spec = spec or DEFAULT_SPEC
+    q = _check_p(q)
+    heads = np.asarray(heads, dtype=complex)
+    s = heads.shape[1] if heads.ndim == 2 else 0
+    if not 0 < s < psi.n:
+        raise DimensionError(f"heads must have shape (M, s) with 0 < s < n={psi.n}")
+    members, powers, freqs = _tail_groups(psi, s)
+    head_coeffs = np.array([t.coeff for t in psi.terms], dtype=complex)
+    for i in range(s):
+        # a zero power or frequency multiplies by exactly 1
+        head_coeffs = head_coeffs * heads[:, i, None] ** np.array([t.power[i] for t in psi.terms])
+        head_coeffs = head_coeffs * np.exp(heads[:, i, None] * np.conj([t.freq[i] for t in psi.terms]))
+    if not np.isfinite(head_coeffs).all():
+        raise DomainError("coefficients must be finite")
+    coeffs = head_coeffs[:, [terms[0] for terms in members]]
+    for g, terms in enumerate(members):
+        for t in terms[1:]:
+            coeffs[:, g] += head_coeffs[:, t]
+    size = np.abs(coeffs)
+    kept = size > COEFF_DROP_TOL * size.max(axis=1, initial=0.0)[:, None]
+    if q == 2.0 and spec.allow_closed_form:
+        coeffs = np.where(kept, coeffs, 0.0)
+        square = np.sum((coeffs @ _tail_gram(psi, s)) * np.conj(coeffs), axis=1).real
+        return np.sqrt(np.maximum(square, 0.0))
+    out = np.zeros(len(heads))
+    patterns, which = np.unique(kept, axis=0, return_inverse=True)
+    for pattern, survivors in enumerate(patterns):
+        rows, groups = np.flatnonzero(which.ravel() == pattern), np.flatnonzero(survivors)
+        if len(groups) == 1 and spec.allow_closed_form:
+            g = groups[0]
+            out[rows] = size[rows, g] * single_term_norm(1.0 + 0j, powers[g], freqs[g], q)
+        elif len(groups):
+            total = _gh_integrals(
+                coeffs[np.ix_(rows, groups)], [powers[g] for g in groups], [freqs[g] for g in groups], q,
+                spec.resolve_nodes(psi.n - s),
+            )
+            out[rows] = np.maximum(total, 0.0) ** (1.0 / q)
+    return out

@@ -24,10 +24,12 @@ single-term symbols.  Everything else is handled by numeric search and is
 reported as evidence, never as a certificate.
 
 Except on a rank < n map whose symbol has several frequencies or tail
-monomials (one slice norm per point there), ell is separable (``SeparableEll``)
-and its grids are evaluated with ``quad.tensor_values``.  ``ell_log_integral``
-is the one Gauss-Hermite integral of ell: its L^r norm here, and the pullback
-measure of ``carleson``, whose density is ell^q e^{-q|phi_t|^2/2}.
+monomials, where ell reads slice norms (one ``quad.slice_norm_many`` call per
+batch of points), ell is separable (``SeparableEll``) and its grids are
+evaluated with ``quad.tensor_values``.  ``ell_log_integral`` is the one
+Gauss-Hermite integral of ell: its L^r norm here, and the pullback measure of
+``carleson``, whose density is ell^q e^{-q|phi_t|^2/2}; on the separable form
+it is a contraction of per-axis vectors.
 
 ``analyze`` runs the pipeline once per problem: its ``Analysis`` computes
 each step, the verdict and the bounds at most once, when first read.
@@ -45,7 +47,7 @@ from .errors import DimensionError, DomainError, UnsupportedExponentsError
 from .funcspace import AffineMap, ExpPoly, Term, compose_affine
 from .linalg import as_cvector, svd
 from .quad import DEFAULT_SPEC, NormResult, QuadSpec, block_axes, factor_argmax, factor_log_max, fock_norm, grid_blocks
-from .quad import grid_points, hermite_rule, plane_axis, single_term_norm, slice_norm, tensor_sup, tensor_values
+from .quad import grid_points, hermite_rule, plane_axis, single_term_norm, slice_norm_many, tensor_sup, tensor_values
 
 __all__ = [
     "WcoProblem",
@@ -390,17 +392,12 @@ def ell_at_many(profile: EllProfile, points: np.ndarray, spec: QuadSpec | None =
     if sep is not None:
         return np.exp(_separable_log_ell(profile, pts.T, None if sep.g is None else sep.g.eval_many(pts)))
 
-    # slice norm per point
-    out = np.empty(pts.shape[0], dtype=float)
-    b_tail_sq = float(np.sum(np.abs(norm.b_t[s:]) ** 2))
-    for j in range(pts.shape[0]):
-        z = pts[j]
-        img_sq = b_tail_sq
-        for i in range(s):
-            img_sq += abs(norm.diag[i] * z[i] + norm.b_t[i]) ** 2
-        expo = (img_sq - float(np.sum(np.abs(z) ** 2))) / 2.0
-        out[j] = math.exp(expo) * slice_norm(norm.psi_t, profile.q, z, spec).value
-    return out
+    # exp((|phi_t(z)|^2 - |z|^2)/2) times the slice norms, all points at once
+    img_sq = np.full(len(pts), float(np.sum(np.abs(norm.b_t[s:]) ** 2)))
+    for i in range(s):
+        img_sq += np.abs(norm.diag[i] * pts[:, i] + norm.b_t[i]) ** 2
+    expo = (img_sq - np.sum(np.abs(pts) ** 2, axis=1)) / 2.0
+    return np.exp(expo) * slice_norm_many(norm.psi_t, profile.q, pts, spec)
 
 
 def _ell_blocks(profile: EllProfile, axes: Sequence[np.ndarray], spec: QuadSpec, where=None, log=False) -> Iterator:
@@ -572,34 +569,98 @@ def ell_log_integral(
     t_rule, w_rule = hermite_rule(k)
 
     axes = []
-    comp = []
-    logw = []
+    node_logs = []
     for c, rate in zip(centers, rates):
         h = 1.0 / math.sqrt(rate)
         axes.append(plane_axis(c.real + t_rule * h, c.imag + t_rule * h))
-        comp.append(rate * np.abs(axes[-1] - c) ** 2)
-        # raw weights here: the recentering exponential comp is added back in
-        # log space below, so the e^{t^2} compensation must not be pre-applied
+        # raw weights here: the recentering exponential is added back in log
+        # space, so the e^{t^2} compensation must not be pre-applied
         lw = np.log(w_rule) - 0.5 * math.log(rate)
-        logw.append((lw[:, None] + lw[None, :]).ravel())
+        node_logs.append(rate * np.abs(axes[-1] - c) ** 2 + (lw[:, None] + lw[None, :]).ravel())
+    if profile.separable is not None:
+        return _separable_log_integral(profile, power, axes, node_logs, log_weight)
 
-    where = None
-    if log_weight is not None and profile.separable is None:
-        where = lambda zs: np.isfinite(log_weight(zs))  # noqa: E731
+    where = None if log_weight is None else lambda zs: np.isfinite(log_weight(zs))  # noqa: E731
     block_logs = []
     for rows, logell in _ell_blocks(profile, axes, spec, where, log=True):
-        parts = [sum(block_axes(comp, rows)), sum(block_axes(logw, rows))]
+        rule = sum(block_axes(node_logs, rows))
         if log_weight is not None:
-            parts.append(np.broadcast_to(log_weight(block_axes(axes, rows)), parts[0].shape))
-        if where is not None:
             # ell came flat, at the points of nonzero weight only
-            keep = np.isfinite(parts[-1])
-            parts = [part[keep] for part in parts]
-        terms = power * logell
-        for part in parts:
-            terms = terms + part
+            lw = np.broadcast_to(log_weight(block_axes(axes, rows)), rule.shape)
+            keep = np.isfinite(lw)
+            rule = rule[keep] + lw[keep]
+        terms = power * logell + rule
         block_logs.append(_logsumexp(terms.ravel()) if terms.size else -math.inf)
     return _logsumexp(np.array(block_logs))
+
+
+#: a scaled block sum below this is redone in logs (its terms near 1e-308 would lose digits)
+_SCALED_SUM_FLOOR = 1e-200
+
+
+def _integrand_blocks(profile: EllProfile, power: float, axes: Sequence[np.ndarray], log_weight) -> Iterator:
+    """(rows, log(|g|^power e^{log_weight})) per block of the tensor grid of ``axes``, shaped like the block."""
+    g = profile.separable.g
+    sizes = [len(z) for z in axes]
+    for rows, g_values in tensor_values(g, axes) if g is not None else ((rows, None) for rows in grid_blocks(sizes)):
+        logs = 0.0 if g_values is None else power * np.log(np.maximum(np.abs(g_values), 1e-300))
+        if log_weight is not None:
+            logs = logs + log_weight(block_axes(axes, rows))
+        yield rows, np.broadcast_to(logs, (len(axes[0][rows]), *sizes[1:]))
+
+
+def _separable_log_integral(
+    profile: EllProfile, power: float, axes: Sequence[np.ndarray], node_logs: Sequence[np.ndarray], log_weight
+) -> float:
+    """log of the sum of ell^power e^{log_weight + sum_i node_logs[i]} over the tensor grid of the head ``axes``.
+
+    On the separable form, ell^power is |g|^power times a product of per-axis
+    factors.  Each axis's factor times its node weights is one vector, scaled
+    by its largest entry (the first axis's per block).  The rest, |g|^power
+    and the weight, is one array per block, scaled by its largest entry and
+    contracted with the vectors one axis at a time.  Axes that neither
+    involves are summed alone.  The largest entries of the array and of the
+    vectors need not meet at one point: a block whose scaled sum falls below
+    ``_SCALED_SUM_FLOOR``, where its products start to underflow, is summed
+    in logs point by point instead.
+    """
+    sep = profile.separable
+    vecs = []
+    for z, a, d, u, extra in zip(axes, profile.a, sep.d, sep.u, node_logs):
+        mod = np.abs(z)
+        v = ((a**2 - 1.0) / 2.0) * mod**2 + np.real(z * np.conj(u))
+        if d:
+            with np.errstate(divide="ignore"):
+                v = v + d * np.log(mod)
+        vecs.append(power * v + extra)
+    if log_weight is not None:
+        involved = set(range(profile.s))
+    elif sep.g is not None:
+        involved = {i for _, power_g, freq_g in sep.g.terms for i in range(profile.s) if power_g[i] or freq_g[i]}
+    else:
+        involved = set()
+    log_total = power * sum(sep.log_const) + sum(_logsumexp(v) for i, v in enumerate(vecs) if i not in involved)
+    if not involved:
+        return log_total
+    grid = [z if i in involved else z[:1] for i, z in enumerate(axes)]
+    vecs = [v if i in involved else np.zeros(1) for i, v in enumerate(vecs)]
+    tops = [float(v.max()) for v in vecs[1:]]
+    scaled = [np.exp(v - top) for v, top in zip(vecs[1:], tops)]
+    block_logs = []
+    for rows, logs in _integrand_blocks(profile, power, grid, log_weight):
+        first = vecs[0][rows]
+        top, lead = float(logs.max()), float(first.max())
+        if not math.isfinite(top + lead):
+            block_logs.append(top + lead)  # -inf: zero weight throughout; inf or nan is passed on
+            continue
+        acc = np.exp(first - lead) @ np.exp(logs - top).reshape(len(first), -1)
+        for w in scaled:
+            acc = w @ acc.reshape(len(w), -1)
+        if acc[0] > _SCALED_SUM_FLOOR:
+            block_logs.append(top + lead + math.log(acc[0]))
+        else:
+            block_logs.append(_logsumexp((logs + sum(block_axes(vecs, rows))).ravel()) - sum(tops))
+    return log_total + sum(tops) + _logsumexp(np.array(block_logs))
 
 
 def _lr_log_integral(profile: EllProfile, r: float, spec: QuadSpec) -> float:

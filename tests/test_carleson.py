@@ -164,7 +164,7 @@ def tail_monomial_problem(sigma, u, b):
     ids=["n2-rank1", "n3-rank2"],
 )
 def test_measure_of_a_tail_monomial_weight_needs_no_slice_norms(monkeypatch, sigma, u, b):
-    # a single term makes ell exact (closed-form tail norm), so the measure never calls slice_norm
+    # a single term makes ell exact (closed-form tail norm), so the measure evaluates no slice norm
     nz = normalize(tail_monomial_problem(sigma, u, b))
     assert nz.rank_s == len(sigma) - 1
 
@@ -172,7 +172,8 @@ def test_measure_of_a_tail_monomial_weight_needs_no_slice_norms(monkeypatch, sig
         raise AssertionError("slice_norm called")
 
     for module in (quad, wco, carleson):
-        monkeypatch.setattr(module, "slice_norm", refuse, raising=False)
+        for name in ("slice_norm", "slice_norm_many"):
+            monkeypatch.setattr(module, name, refuse, raising=False)
     w0 = np.zeros(nz.rank_s, dtype=complex)
     masses = [pullback_mass(nz, 2.0, w0, radius) for radius in (2.0, 4.0)]
     assert 0.0 < masses[0] <= masses[1]
@@ -186,11 +187,16 @@ def test_measure_on_the_slice_norm_fallback_skips_points_of_zero_weight(monkeypa
     psi = ExpPoly(2, (Term(1.0 + 0j, (0, 0), (0.3, 0.2j)), Term(0.5 + 0j, (0, 1), (-0.2, 0.1))))
     nz = normalize(WcoProblem(psi, AffineMap(np.diag([0.6, 0.0]).astype(complex), [0.1, 0.2]), 4.0, 2.0))
     assert ell_profile(nz, 2.0).separable is None
-    calls = []
-    slice_norm = wco.slice_norm
-    monkeypatch.setattr(wco, "slice_norm", lambda *args: calls.append(1) or slice_norm(*args))
+    points = []
+    slice_norm_many = wco.slice_norm_many
+
+    def counting(psi, q, heads, spec):
+        points.append(len(heads))
+        return slice_norm_many(psi, q, heads, spec)
+
+    monkeypatch.setattr(wco, "slice_norm_many", counting)
     small, large = (pullback_mass(nz, 2.0, [0.1], radius) for radius in (0.5, 4.0))
-    assert 0 < len(calls) < 2 * 10**2  # the capped rule has 10^2 nodes; the small ball holds few
+    assert 0 < sum(points) < 2 * 10**2  # the capped rule has 10^2 nodes; the small ball holds few
     assert 0.0 < small < large
     w = [0.2]
     exact = berezin_transform(nz, 2.0, w, method="identity")
@@ -204,25 +210,29 @@ def corpus_09():
     return analyze(load_problem(corpus_path("09_collapse_compact")).problem)
 
 
-def record_ell_sizes(monkeypatch):
-    """Patch ``wco._ell_blocks`` to record how many values of ell each block holds."""
+def record_block_sizes(monkeypatch, name):
+    """Patch the block generator ``wco.<name>`` to record how many values each block holds."""
     sizes = []
-    ell_blocks = wco._ell_blocks
+    blocks = getattr(wco, name)
 
     def recording(*args, **kwargs):
-        for rows, values in ell_blocks(*args, **kwargs):
+        for rows, values in blocks(*args, **kwargs):
             sizes.append(values.size)
             yield rows, values
 
-    monkeypatch.setattr(wco, "_ell_blocks", recording)
+    monkeypatch.setattr(wco, name, recording)
     return sizes
 
 
 def test_log_integral_feeds_ell_one_block_at_a_time(monkeypatch):
-    # corpus 09 has rank 2: its 40^2 x 40^2 rule has 2,560,000 points
+    # corpus 09 has rank 2: its 40^2 x 40^2 rule has 2,560,000 points.  Its ell is one term, a
+    # product of per-axis factors, so its L^r integral is a product of per-axis sums; the
+    # measure's ball weight joins the axes, and the contraction takes the grid block by block
     an = corpus_09()
-    sizes = record_ell_sizes(monkeypatch)
+    sizes = record_block_sizes(monkeypatch, "_integrand_blocks")
     wco._lr_log_integral(an.profile, 4.0, FORCE_QUAD)
+    assert sizes == []
+    pullback_mass(an.normalization, 2.0, [0.1, -0.2j], 2.0, FORCE_QUAD)
     assert sum(sizes) == 40**4
     assert max(sizes) <= max(quad._GRID_BLOCK, 40**2)
 
@@ -232,7 +242,7 @@ def test_integral_evidence_feeds_ell_one_block_at_a_time(monkeypatch):
     psi = kernel([0.3, -0.2]) + kernel([-0.4j, 0.1])
     prob = WcoProblem(psi, AffineMap(np.diag([0.6, 0.3]).astype(complex), [0.2, 0.1]), 4.0, 2.0)
     an = analyze(prob)
-    sizes = record_ell_sizes(monkeypatch)
+    sizes = record_block_sizes(monkeypatch, "_ell_blocks")
     assert wco._integral_evidence(an.profile, 4.0, QuadSpec())
     assert max(sizes) <= max(quad._GRID_BLOCK, 25**3)
 
@@ -251,3 +261,109 @@ def test_measure_sums_do_not_depend_on_the_block(monkeypatch):
     mass_rows, log_i_rows = sums()
     assert abs(mass - mass_rows) <= 1e-13 * mass
     assert abs(log_i - log_i_rows) <= 1e-13 * max(1.0, abs(log_i))
+
+
+# -- the separable integral by per-axis contraction ------------------------------
+
+
+def per_point_log_integral(profile, power, centers, rates, k, log_weight=None):
+    """log Integral ell^power e^{log_weight} on ``ell_log_integral``'s rule, summed point by point in logs.
+
+    The whole grid is stacked, and log ell is read from the separable form at each point.
+    """
+    t, w = np.polynomial.hermite.hermgauss(k)
+    axes, rule = [], []
+    for c, rate in zip(centers, rates):
+        h = 1.0 / math.sqrt(rate)
+        axes.append(((c.real + t * h)[:, None] + 1j * (c.imag + t * h)[None, :]).ravel())
+        lw = np.log(w) - 0.5 * math.log(rate)
+        rule.append(rate * np.abs(axes[-1] - c) ** 2 + (lw[:, None] + lw[None, :]).ravel())
+    pts = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=-1)
+    terms = sum(m.ravel() for m in np.meshgrid(*rule, indexing="ij"))
+    sep = profile.separable
+    log_ell = np.full(len(pts), sum(sep.log_const))
+    if sep.g is not None:
+        log_ell += np.log(np.abs(sep.g.eval_many(pts)))
+    for z, a, d, u in zip(pts.T, profile.a, sep.d, sep.u):
+        if d:
+            with np.errstate(divide="ignore"):
+                log_ell += d * np.log(np.abs(z))
+        log_ell += ((a * a - 1.0) / 2.0) * np.abs(z) ** 2 + np.real(z * np.conj(u))
+    terms = terms + power * log_ell
+    if log_weight is not None:
+        terms = terms + log_weight(list(pts.T))
+    top = terms.max()
+    return float(top + np.log(np.sum(np.exp(terms - top))))
+
+
+def ball(center, radius):
+    return lambda zs: np.where(sum(np.abs(z - c) ** 2 for z, c in zip(zs, center)) <= radius**2, 0.0, -np.inf)
+
+
+def berezin_weight(profile, q, w):
+    """log |k_w|^q at the image a z + b of the head point, as ``berezin_transform`` weighs the measure."""
+    nz = profile.normalization
+    a, b = nz.diag[: profile.s], nz.b_t[: profile.s]
+    return lambda zs: q * sum(
+        np.real((a_i * z + b_i) * np.conj(w_i)) - abs(w_i) ** 2 / 2 for z, a_i, b_i, w_i in zip(zs, a, b, w)
+    )
+
+
+CONTRACTION_CASES = {
+    # z1^2 z2 e^{<z,u>} centred at 0 with an odd rule: a node sits at the origin, where log|z_i| = -inf
+    "powers-at-origin": (ExpPoly(2, (Term(1.0, (2, 1), (0.0, 0.0)),)), [0.6, 0.4], 4.0, 2.0, 9, None),
+    "powers-in-a-ball": (ExpPoly(2, (Term(1.0, (2, 1), (0.0, 0.0)),)), [0.6, 0.4], 4.0, 2.0, 9, "ball"),
+    # two frequencies at full rank: g = psi_t involves both axes
+    "g-in-a-ball": (kernel([0.3, -0.2]) + kernel([-0.4j, 0.1]), [0.6, 0.3], 4.0, 2.0, 16, "ball"),
+    "g-berezin": (kernel([0.3, -0.2]) + kernel([-0.4j, 0.1]), [0.6, 0.3], 4.0, 2.0, 16, "berezin"),
+    "one-term-berezin": (kernel([0.3, -0.2]), [0.8, 0.5], 3.0, 1.5, 16, "berezin"),
+    # g = 1 + 0.5 z1 is the head polynomial of a common frequency: axis 2 is summed alone
+    "g-on-one-axis": (
+        ExpPoly(2, (Term(1.0, (0, 0), (0.3, 0.2j)), Term(0.5, (1, 0), (0.3, 0.2j)))), [0.6, 0.45], 4.0, 2.0, 16, None,
+    ),
+    "g-on-one-axis-of-three": (
+        ExpPoly(3, (Term(1.0, (0, 0, 0), (0.3j, 0.1, 0.2)), Term(0.5, (0, 1, 0), (0.3j, 0.1, 0.2)))),
+        [0.8, 0.6, 0.4], 4.0, 2.0, 8, None,
+    ),
+}
+
+
+@pytest.mark.parametrize("block", [None, 7])
+@pytest.mark.parametrize("case", sorted(CONTRACTION_CASES))
+def test_contraction_matches_per_point_logsumexp(monkeypatch, case, block):
+    psi, diag, p, q, k, weight = CONTRACTION_CASES[case]
+    nz = normalize(WcoProblem(psi, AffineMap(np.diag(diag), [0.1, -0.2j, 0.3][: len(diag)]), p, q))
+    profile = ell_profile(nz, q)
+    assert profile.separable is not None
+    r = p * q / (p - q)
+    ts = [(1.0 - a * a) / 2.0 for a in profile.a]
+    centers = [0j] * profile.s if case.startswith("powers") else [w / (2.0 * t) for w, t in zip(profile.w, ts)]
+    rates = [r * t for t in ts]
+    log_weight = {
+        None: None,
+        "ball": ball([0.5] * profile.s, 2.0),
+        "berezin": berezin_weight(profile, q, [0.4 - 0.3j] * profile.s),
+    }[weight]
+    want = per_point_log_integral(profile, r, centers, rates, k, log_weight)
+    if block is not None:
+        monkeypatch.setattr(quad, "_GRID_BLOCK", block)
+    got = wco.ell_log_integral(profile, r, centers, rates, QuadSpec(nodes_per_axis=k), log_weight)
+    assert math.isfinite(want)
+    assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+
+def test_contraction_sums_a_block_in_logs_where_its_scaled_sum_underflows(monkeypatch):
+    # |k_w|^q at w = 100 is largest on the rim of a 300-node rule, where ell's per-axis factor is
+    # about e^{-500} below its top: scaled by the two maxima, every product underflows
+    nz = normalize(WcoProblem(kernel([0.3]), AffineMap([[0.3]], [0.1]), 4.0, 2.0))
+    profile = ell_profile(nz, 2.0)
+    center = profile.w[0] - nz.diag[0] * nz.b_t[0]
+    log_weight = berezin_weight(profile, 2.0, [100.0])
+    monkeypatch.setattr(quad, "_GRID_BLOCK", 300**2)  # one block, scaled by the whole axis's maximum
+    sums = []
+    logsumexp = wco._logsumexp
+    monkeypatch.setattr(wco, "_logsumexp", lambda a: sums.append(a.size) or logsumexp(a))
+    got = wco.ell_log_integral(profile, 2.0, [center], [1.0], QuadSpec(nodes_per_axis=300), log_weight)
+    assert max(sums) > 300  # a block summed point by point
+    want = per_point_log_integral(profile, 2.0, [center], [1.0], 300, log_weight)
+    assert abs(got - want) <= 1e-12 * max(1.0, abs(want))

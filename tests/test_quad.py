@@ -9,7 +9,7 @@ import pytest
 from fockop import quad
 from fockop.errors import DomainError
 from fockop.funcspace import ExpPoly, Term, constant, kernel, monomial, normalized_kernel
-from fockop.quad import QuadSpec, f2_inner, fock_norm, fock_sup_norm, slice_norm
+from fockop.quad import QuadSpec, f2_inner, fock_norm, slice_norm
 from fockop.verify import random_symbol
 
 GH = QuadSpec(allow_closed_form=False)
@@ -75,22 +75,6 @@ def test_quadrature_error_estimate_covers_node_doubling():
         base = fock_norm(f, 2.5, GH)
         fine = fock_norm(f, 2.5, dataclasses.replace(GH, nodes_per_axis=80))
         assert abs(base.value - fine.value) <= base.err_estimate + 1e-12 * (1.0 + fine.value)
-
-
-def test_sup_norm_of_kernel():
-    w = 1.1 - 0.4j
-    r = fock_sup_norm(kernel([w]))
-    assert r.value == pytest.approx(math.exp(abs(w) ** 2 / 2.0), rel=1e-6)
-
-
-def test_sup_norm_of_monomial():
-    # sup |z| e^{-|z|^2/2} = e^{-1/2} at |z| = 1
-    r = fock_sup_norm(monomial(1, (1,)))
-    assert r.value == pytest.approx(math.exp(-0.5), rel=1e-6)
-
-
-def test_sup_norm_constant():
-    assert fock_sup_norm(constant(2, 2.5)).value == pytest.approx(2.5, rel=1e-9)
 
 
 def test_slice_norm_matches_slicing_then_norming():
@@ -276,34 +260,3 @@ def test_gh_norm_integrates_every_coordinate():
     got, want = fock_norm(f4, 3.0, spec), fock_norm(f1, 3.0, spec)
     assert got.mode == want.mode == "quadrature"
     assert abs(got.value - want.value) <= 1e-12 * want.value
-
-
-def _brute_force_sup(f, radius, g, rounds):
-    """Max of |f(z)| e^{-|z|^2/2} on a g^(2n) grid over [-radius, radius]^(2n), then ``rounds - 1``
-    times on a finer g^(2n) grid spanning two cells around the best point so far."""
-    n = f.n
-    center, half = np.zeros(2 * n), radius
-    for _ in range(rounds):
-        axes = [np.linspace(c - half, c + half, g) for c in center]
-        pts = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=-1)
-        z = pts[:, :n] + 1j * pts[:, n:]
-        vals = np.abs(f.eval_many(z)) * np.exp(-np.sum(np.abs(z) ** 2, axis=1) / 2.0)
-        best = int(np.argmax(vals))
-        center, half = pts[best], 2.0 * half / (g - 1)
-    return float(vals[best])
-
-
-@pytest.mark.parametrize(
-    "f, g, rounds",
-    [
-        (kernel([0.8 - 0.3j]) + monomial(1, (2,), coeff=0.5j), 401, 2),
-        (kernel([0.6, -0.4j]) + monomial(2, (1, 1), coeff=0.7), 31, 4),
-    ],
-)
-def test_numeric_sup_norm_matches_brute_force(f, g, rounds):
-    # two terms: no closed form, so the grid search and its polish run
-    r = fock_sup_norm(f)
-    want = _brute_force_sup(f, 5.0, g, rounds)
-    assert r.mode == "quadrature"
-    assert want - 1e-12 <= r.value <= want * (1.0 + 1e-6)
-    assert r.err_estimate >= 0.0

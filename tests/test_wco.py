@@ -17,12 +17,14 @@ import pytest
 from fockop.errors import DomainError, UnsupportedExponentsError
 from fockop.funcspace import AffineMap, ExpPoly, Term, constant, kernel, monomial
 from fockop.linalg import is_unitary
-from fockop.quad import slice_norm
+from fockop import quad
+from fockop.quad import QuadSpec, slice_norm
 from fockop.wco import (
     WcoProblem,
     alternative_normalization,
     classify,
     ell_at,
+    ell_at_many,
     ell_limsup,
     ell_profile,
     ell_sup,
@@ -143,6 +145,98 @@ def test_full_rank_profile_equals_distortion_pointwise():
             slice_q = slice_norm(nz.psi_t, 3.0, z[:s]).value
             want = math.exp((np.sum(np.abs(img) ** 2) - np.sum(np.abs(z) ** 2)) / 2.0) * slice_q
             assert ell_at(pf, z[:s]) == pytest.approx(want, rel=1e-11)
+
+
+def _rotated_map(sigma, seed):
+    """U^H diag(sigma) U + b for the unitary factor U of a seeded complex Gaussian matrix."""
+    rng = np.random.default_rng(seed)
+    n = len(sigma)
+    U = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))[0]
+    return AffineMap(U.conj().T @ np.diag(sigma) @ U, [0.1, -0.2j, 0.3][: len(sigma)])
+
+
+#: (psi, map, spec) whose ell needs slice norms: a rank < n map with tail monomials or several frequencies
+FALLBACK_CASES = {
+    "n2-rank1": (ExpPoly(2, (Term(1.0, (1, 1), (0.3, 0.2j)),)), _rotated_map([0.55, 0.0], 3), QuadSpec()),
+    "n3-rank2": (ExpPoly(3, (Term(1.0, (1, 1, 0), (0.3, 0.2j, 0.1)),)), _rotated_map([0.6, 0.5, 0.0], 7), QuadSpec()),
+    "n3-rank1": (
+        ExpPoly(3, (Term(1.0, (0, 0, 0), (0.3, 0.2j, 0.1)), Term(0.5, (1, 0, 1), (-0.2, 0.1, 0.0)))),
+        AffineMap(np.diag([0.6, 0.0, 0.0]), [0.1, 0.2, 0.0]),
+        QuadSpec(nodes_per_axis=12),
+    ),
+    # (1 + z1) z2 + 0.5 z2^2 e^{<z, FREQ>}: the two z2 tails merge into one term beside z2^2
+    "merged-tails": (
+        ExpPoly(2, (Term(1.0, (0, 1), FREQ), Term(1.0, (1, 1), FREQ), Term(0.5, (0, 2), FREQ))),
+        AffineMap(np.diag([0.7, 0.0]), [0.1, 0.2j]),
+        QuadSpec(),
+    ),
+    # (1 - 0.4 z1^2) z2 e^{<z, FREQ>}: every tail is z2, one term per point
+    "one-tail": (
+        ExpPoly(2, (Term(1.0, (0, 1), FREQ), Term(-0.4, (2, 1), FREQ))),
+        AffineMap(np.diag([0.7, 0.0]), [0.1, 0.2j]),
+        QuadSpec(),
+    ),
+}
+
+
+@pytest.mark.parametrize("q", [2.0, 1.5, 3.0])
+@pytest.mark.parametrize("case", sorted(FALLBACK_CASES))
+def test_batched_slice_norms_match_per_point_slice_norms(case, q):
+    """ell_at_many's one batched call against exp((|phi_t(z)|^2 - |z|^2)/2) quad.slice_norm(psi_t, q, z) per point."""
+    psi, phi, spec = FALLBACK_CASES[case]
+    nz = normalize(WcoProblem(psi, phi, 2.0, q))
+    pf = ell_profile(nz, q)
+    assert pf.separable is None
+    s = pf.s
+    rng = np.random.default_rng(5)
+    heads = rng.normal(size=(6, s)) + 1j * rng.normal(size=(6, s))
+    heads[0] = 0.0  # every term with a head power vanishes
+    heads[1, -1] = 0.0
+    got = ell_at_many(pf, heads, spec)
+    for z, value in zip(heads, got):
+        img = np.abs(nz.diag[:s] * z + nz.b_t[:s]) ** 2
+        scale = math.exp((np.sum(img) + np.sum(np.abs(nz.b_t[s:]) ** 2) - np.sum(np.abs(z) ** 2)) / 2.0)
+        ref = slice_norm(nz.psi_t, q, z, spec)
+        if q == 2.0 or ref.mode == "closed_form":
+            assert value == pytest.approx(scale * ref.value, rel=1e-12)
+        else:
+            assert abs(value - scale * ref.value) <= scale * ref.err_estimate
+    if case.endswith("tails") or case == "one-tail":
+        members, _, _ = quad._tail_groups(nz.psi_t, s)
+        assert len(members) < len(nz.psi_t.terms)
+
+
+def _brute_force_ell_max(profile, radius, g, rounds):
+    """Max of ell on a g^(2s) grid over [-radius, radius]^(2s), then ``rounds - 1`` times on a finer
+    g^(2s) grid spanning two cells around the best point so far."""
+    s = profile.s
+    center, half = np.zeros(2 * s), radius
+    for _ in range(rounds):
+        axes = [np.linspace(c - half, c + half, g) for c in center]
+        pts = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=-1)
+        vals = ell_at_many(profile, pts[:, :s] + 1j * pts[:, s:])
+        best = int(np.argmax(vals))
+        center, half = pts[best], 2.0 * half / (g - 1)
+    return float(vals[best])
+
+
+@pytest.mark.parametrize(
+    "psi, diag, g, rounds",
+    [
+        (kernel([0.0]) + kernel([1.0]), [0.5], 401, 2),  # corpus 14
+        (kernel([0.6, -0.4j]) + kernel([-0.3, 0.5]), [0.7, 0.5], 31, 4),
+    ],
+    ids=["s1", "s2"],
+)
+def test_numeric_ell_sup_matches_brute_force(psi, diag, g, rounds):
+    # two frequencies: no certificate, so the grid search and its polish run over radius 10
+    pf = ell_profile(normalize(WcoProblem(psi, AffineMap(np.diag(diag), np.zeros(len(diag))), 2.0, 2.0)), 2.0)
+    assert pf.mode == "numeric_evidence"
+    r = ell_sup(pf)
+    want = _brute_force_ell_max(pf, 10.0, g, rounds)
+    assert r.mode == "quadrature"
+    assert want - 1e-12 <= r.value <= want * (1.0 + 1e-6)
+    assert r.err_estimate >= 0.0
 
 
 # -- classification -----------------------------------------------------------
