@@ -19,10 +19,17 @@ A tensor-product grid over several complex axes (here and in ``wco``) is
 never built whole: ``grid_blocks`` splits its points, in the row-major order
 of ``np.meshgrid(..., indexing="ij")``, into blocks of whole rows of the first
 axis holding at most ``max(_GRID_BLOCK, product of the other axis sizes)``
-points, and the sums run block by block.  ``tensor_values`` evaluates a
-symbol on each block from per-axis factor tables, for any number of axes;
-``grid_points`` stacks a block's points for the slice-norm fallback of ell in
-``wco``, the one integrand that is not separable.  ``tensor_sup`` is the one
+points, and the sums run block by block.  A Gauss-Hermite norm first drops,
+per axis, the nodes that a separable bound proves negligible: with T terms,
+|sum_t c_t u_t|^p <= C_p sum_t |c_t|^p |u_t|^p, C_p = T^max(p - 1, 0), and
+the node weights and |u_t|^p factor over the axes, so the dropped nodes of
+an axis may carry at most 2^-70 of the bound's total, and a row whose dropped
+bound exceeds 2^-60 of its kept sum is summed again over the whole rule (see
+``_gh_integrals``); the rule and its values stay those of the whole grid, up
+to summation rounding.  ``tensor_values`` evaluates a symbol on each block
+from per-axis factor tables, for any number of axes; ``grid_points`` stacks a
+block's points for the slice-norm fallback of ell in ``wco``, the one
+integrand that is not separable.  ``tensor_sup`` is the one
 grid-plus-local-search maximizer.
 """
 from __future__ import annotations
@@ -379,36 +386,120 @@ def tensor_values(f: ExpPoly, axes: Sequence[np.ndarray]) -> Iterator[tuple[slic
         yield rows, (g.T @ tables[-1]).reshape(-1, *sizes[1:])
 
 
+#: share of the separable bound's total that the nodes dropped from one axis may carry
+_PRUNE_BUDGET = 2.0**-70
+#: largest ratio of a row's dropped bound to its kept sum for which the pruned value stands
+_PRUNE_CHECK = 2.0**-60
+
+
+def _node_bounds(
+    coeffs: np.ndarray, tables: Sequence[np.ndarray], weights: Sequence[np.ndarray], p: float
+) -> tuple[list[np.ndarray], list[np.ndarray], np.ndarray]:
+    """Separable bounds on the share of each axis node in the rule's sum, for every row of ``coeffs``.
+
+    With u_t the product over the axes of the factor tables and T terms,
+    |sum_t c_t u_t|^p <= C_p sum_t |c_t|^p |u_t|^p, C_p = T^max(p - 1, 0)
+    (subadditivity of x^p for p <= 1, the power mean for p >= 1).  The node
+    weight and |u_t|^p factor over the axes, so with m_ti = w_i |table_ti|^p
+    and M_ti its sum over the nodes of axis i, the sum over the whole grid is
+    at most C_p sum_t |c_t|^p prod_i M_ti, and the part of it on node j of
+    axis i, summed over the other axes, at most
+    C_p sum_t |c_t|^p prod_{i' != i} M_ti' m_ti[j].  Returns per axis the
+    (rows, terms) factors C_p |c_t|^p prod_{i' != i} M_ti' and the (terms,
+    nodes) masses m_ti, whose product is that bound, and the (rows,) bound on
+    the whole sum.
+    """
+    scale = np.abs(coeffs) ** p * np.float64(len(tables[0])) ** max(p - 1.0, 0.0)
+    masses = [w * np.abs(table) ** p for table, w in zip(tables, weights)]
+    sums = np.array([m.sum(axis=1) for m in masses])
+    factors = [scale * np.prod(np.delete(sums, i, axis=0), axis=0) for i in range(len(masses))]
+    return factors, masses, scale @ np.prod(sums, axis=0)
+
+
+def _kept_nodes(factor: np.ndarray, mass: np.ndarray, total: np.ndarray) -> np.ndarray:
+    """Mask of the nodes of one axis to keep: the rest carry at most ``_PRUNE_BUDGET`` of every row's bound.
+
+    A node's share is sum_t max_m (factor[m, t] / total[m]) mass[t, j], at
+    least its share of each row's total, and nodes are dropped smallest share
+    first.  Every node is kept where a bound is not finite and positive.
+    """
+    if not all(np.isfinite(a).all() for a in (factor, mass, total)) or not (total > 0).all():
+        return np.ones(mass.shape[1], dtype=bool)
+    share = np.max(factor / total[:, None], axis=0) @ mass
+    order = np.argsort(share, kind="stable")
+    kept = np.ones(len(share), dtype=bool)
+    kept[order[: np.searchsorted(np.cumsum(share[order]), _PRUNE_BUDGET)]] = False
+    return kept
+
+
+def _gh_sum(coeffs: np.ndarray, tables: Sequence[np.ndarray], weights: Sequence[np.ndarray], p: float) -> np.ndarray:
+    """The sum over the tensor grid of prod_i weights[i] |f_m|^p for every row m of ``coeffs``, block by block.
+
+    Each ``grid_blocks`` block of nodes is evaluated as in ``tensor_values``,
+    with each row's coefficients scaling the first axis's table, for as many
+    rows at once as keep the values within ``_GRID_BLOCK`` entries; the
+    weights are contracted into |values|^p one axis at a time, the first axis
+    first.  One pair of value buffers serves every block.
+    """
+    sizes = [len(w) for w in weights]
+    total = np.zeros(len(coeffs))
+    values, moduli = np.empty(0, dtype=complex), np.empty(0)
+    for rows in grid_blocks(sizes):
+        w0 = weights[0][rows]
+        step = max(1, _GRID_BLOCK // (len(w0) * math.prod(sizes[1:])))
+        for lo in range(0, len(coeffs), step):
+            c = coeffs[lo : lo + step]
+            shape = (len(c), len(w0)) if len(tables) == 1 else (len(c), len(w0) * math.prod(sizes[1:-1]), sizes[-1])
+            size = math.prod(shape)
+            if len(values) < size:
+                values, moduli = np.empty(size, dtype=complex), np.empty(size)
+            vals, h = values[:size].reshape(shape), moduli[:size].reshape(shape)
+            if len(tables) == 1:
+                np.matmul(c, tables[0][:, rows], out=vals)
+            else:
+                g = c[:, :, None] * tables[0][:, rows]
+                for table in tables[1:-1]:
+                    g = (g[..., None] * table[:, None, :]).reshape(len(c), len(table), -1)
+                np.matmul(np.swapaxes(g, 1, 2), tables[-1], out=vals)
+            np.power(np.abs(vals, out=h), p, out=h)
+            if len(tables) == 1:
+                total[lo : lo + step] += np.sum(np.multiply(h, w0, out=h), axis=1)
+                continue
+            acc = w0 @ h.reshape(len(c), len(w0), -1)
+            for w in weights[1:-1]:
+                acc = w @ acc.reshape(len(c), len(w), -1)
+            total[lo : lo + step] += acc @ weights[-1]
+    return total
+
+
 def _gh_integrals(coeffs: np.ndarray, powers: Sequence, freqs: Sequence, p: float, k: int) -> np.ndarray:
     """Gauss-Hermite values, k nodes per real axis, of ||f_m||_p^p for every row m of ``coeffs``.
 
     f_m = sum_t coeffs[m, t] z^powers[t] e^{<z, freqs[t]>}.  The rule is
-    centred at the mean frequency.  Each ``grid_blocks`` block of nodes is
-    evaluated as in ``tensor_values``, with each row's coefficients scaling
-    the first axis's table, for as many rows at once as keep the values within
-    ``_GRID_BLOCK`` entries; the weights are contracted into |values|^p one
-    axis at a time, the first axis first.
+    centred at the mean frequency.  Before the sum, each axis drops the nodes
+    whose share of the sum the separable bound of ``_node_bounds`` (with
+    C_p = T^max(p - 1, 0) over T terms) puts at most ``_PRUNE_BUDGET``
+    (2^-70) of its total, for every row; ``_gh_sum`` then sums the kept
+    nodes.  A row whose dropped bound exceeds ``_PRUNE_CHECK`` (2^-60) of its
+    kept sum, as where the terms cancel, is summed again over the whole rule,
+    so every value is within 2^-60 of the whole rule's, below its rounding.
     """
     center = np.mean(np.array(freqs, dtype=complex), axis=0)
     coords, weights = zip(*(coordinate_grid(complex(c), p, k) for c in center))
     tables = _factor_tables(powers, freqs, coords)
-    sizes = [len(z) for z in coords]
-    total = np.zeros(len(coeffs))
-    for rows in grid_blocks(sizes):
-        step = max(1, _GRID_BLOCK // (len(coords[0][rows]) * math.prod(sizes[1:])))
-        for lo in range(0, len(coeffs), step):
-            c = coeffs[lo : lo + step]
-            if len(tables) == 1:
-                total[lo : lo + step] += np.sum(np.abs(c @ tables[0][:, rows]) ** p * weights[0][rows], axis=1)
-                continue
-            vals = c[:, :, None] * tables[0][:, rows]
-            for table in tables[1:-1]:
-                vals = (vals[..., None] * table[:, None, :]).reshape(len(c), len(table), -1)
-            h = np.abs(np.swapaxes(vals, 1, 2) @ tables[-1]) ** p
-            acc = weights[0][rows] @ h.reshape(len(c), len(weights[0][rows]), -1)
-            for w in weights[1:-1]:
-                acc = w @ acc.reshape(len(c), len(w), -1)
-            total[lo : lo + step] += acc @ weights[-1]
+    with np.errstate(over="ignore", invalid="ignore"):  # a bound that is not finite drops no node
+        factors, masses, bound_total = _node_bounds(coeffs, tables, weights, p)
+        kept = [_kept_nodes(factor, mass, bound_total) for factor, mass in zip(factors, masses)]
+    if all(keep.all() for keep in kept):
+        return _gh_sum(coeffs, tables, weights, p)
+    kept_tables = [table[:, keep] for table, keep in zip(tables, kept)]
+    total = _gh_sum(coeffs, kept_tables, [w[keep] for w, keep in zip(weights, kept)], p)
+    dropped = sum(
+        factor @ mass[:, ~keep].sum(axis=1) for factor, mass, keep in zip(factors, masses, kept) if not keep.all()
+    )
+    redo = ~(dropped <= _PRUNE_CHECK * total)
+    if redo.any():
+        total[redo] = _gh_sum(coeffs[redo], tables, weights, p)
     return total
 
 

@@ -10,7 +10,7 @@ from fockop import quad
 from fockop.errors import DomainError
 from fockop.funcspace import ExpPoly, Term, constant, kernel, monomial, normalized_kernel
 from fockop.quad import QuadSpec, f2_inner, fock_norm, slice_norm
-from fockop.verify import random_symbol
+from fockop.verify import random_symbol, suite_lemmas
 
 GH = QuadSpec(allow_closed_form=False)
 
@@ -202,13 +202,106 @@ def _three_term_symbol(n):
     return ExpPoly(n, tuple(terms))
 
 
+def _summed_nodes(monkeypatch):
+    """A list that collects the node count of every grid ``quad.grid_blocks`` splits."""
+    sizes = []
+    grid_blocks = quad.grid_blocks
+
+    def counting(axis_sizes):
+        sizes.append(math.prod(axis_sizes))
+        return grid_blocks(axis_sizes)
+
+    monkeypatch.setattr(quad, "grid_blocks", counting)
+    return sizes
+
+
 @pytest.mark.parametrize("n, k", [(1, 40), (2, 40), (3, 10)])
 def test_gh_norm_does_not_depend_on_the_block(monkeypatch, n, k):
     f = _three_term_symbol(n)
-    blocked = quad._gh_integral_norm(f, 0.7, k)
-    monkeypatch.setattr(quad, "_GRID_BLOCK", 1)  # one row of the first axis per block
-    by_rows = quad._gh_integral_norm(f, 0.7, k)
-    assert abs(blocked - by_rows) <= 1e-13 * blocked
+    for p in (0.7, 1.0, 3.5):
+        with monkeypatch.context() as patch:
+            summed = _summed_nodes(patch)
+            pruned = quad._gh_integral_norm(f, p, k)
+            patch.setattr(quad, "_PRUNE_BUDGET", 0.0)  # the whole rule
+            whole = quad._gh_integral_norm(f, p, k)
+            patch.setattr(quad, "_GRID_BLOCK", 1)  # one row of the first axis per block
+            by_rows = quad._gh_integral_norm(f, p, k)
+        assert summed[1:] == [k ** (2 * n)] * 2
+        if k == 40:
+            assert summed[0] < 0.8 * k ** (2 * n)  # the far nodes of a 40-node rule are negligible
+        assert abs(pruned - whole) <= 1e-13 * whole
+        assert abs(whole - by_rows) <= 1e-13 * whole
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_cancelling_terms_take_the_whole_rule(monkeypatch, n):
+    # two kernels 1e-6 apart: the norm is about 1e-6 of the separable bound, so no drop is provably negligible
+    a = (0.4 - 0.3j, 0.2j)[:n]
+    f = ExpPoly(n, (Term(1.0 + 0j, (0,) * n, a), Term(-1.0 + 0j, (0,) * n, tuple(c + 1e-6 for c in a))))
+    summed = _summed_nodes(monkeypatch)
+    pruned = quad._gh_integral_norm(f, 1.0, 40)
+    assert summed[0] < 40 ** (2 * n) and summed[1:] == [40 ** (2 * n)]
+    monkeypatch.setattr(quad, "_PRUNE_BUDGET", 0.0)
+    assert pruned == quad._gh_integral_norm(f, 1.0, 40)
+
+
+def test_batched_slice_norms_prune_per_point(monkeypatch):
+    # the head coordinate scales the three terms by powers 0, 1 and 2 of heads spread over four decades
+    f = ExpPoly(3, (
+        Term(1.0 + 0j, (0, 0, 1), (0.3 + 0j, 0.2j, -0.4 + 0j)),
+        Term(0.8 - 0.5j, (1, 1, 0), (-0.2j, 0.5 + 0j, 0.1 + 0j)),
+        Term(-0.6 + 0.2j, (2, 0, 2), (0.1 + 0.1j, -0.3 + 0j, 0.2j)),
+    ))
+    heads = np.array([[1e-3], [2e-2 + 1e-2j], [0.5j], [1.0], [3.0 - 2.0j], [-8.0]])
+    summed = _summed_nodes(monkeypatch)
+    pruned = quad.slice_norm_many(f, 0.7, heads)
+    assert sum(summed) < 40**4
+    monkeypatch.setattr(quad, "_PRUNE_BUDGET", 0.0)
+    whole = quad.slice_norm_many(f, 0.7, heads)
+    assert np.all(np.abs(pruned - whole) <= 1e-13 * whole)
+    for h, value in zip(heads, whole):
+        assert value == pytest.approx(slice_norm(f, 0.7, h).value, rel=1e-13)
+
+
+@pytest.mark.parametrize("p", [0.5, 0.7, 1.0, 3.5])
+@pytest.mark.parametrize("n", [1, 2])
+def test_node_bounds_hold_for_every_axis_node(n, p):
+    f = _random_terms_symbol(n, 90 + n)
+    rng = np.random.default_rng(100 + n)
+    coeffs = np.array([[t.coeff for t in f.terms], rng.normal(size=3) + 1j * rng.normal(size=3)])
+    powers, freqs = [t.power for t in f.terms], [t.freq for t in f.terms]
+    center = np.mean(np.array(freqs), axis=0)
+    coords, weights = zip(*(quad.coordinate_grid(complex(c), p, 8) for c in center))
+    factors, masses, total = quad._node_bounds(coeffs, quad._factor_tables(powers, freqs, coords), weights, p)
+    mesh = np.meshgrid(*coords, indexing="ij")
+    points = np.stack([m.ravel() for m in mesh], axis=-1)
+    weight = math.prod(np.meshgrid(*weights, indexing="ij"))
+    for row, c in enumerate(coeffs):
+        g = ExpPoly(n, tuple(Term(complex(a), power, freq) for a, power, freq in zip(c, powers, freqs)))
+        share = weight * np.abs(g.eval_many(points).reshape(weight.shape)) ** p
+        assert share.sum() <= total[row] * (1 + 1e-12)
+        for i, (factor, mass) in enumerate(zip(factors, masses)):
+            # node j of axis i, summed over the other axes
+            exact = np.moveaxis(share, i, 0).reshape(len(coords[i]), -1).sum(axis=1)
+            bound = factor[row] @ mass
+            assert np.all(exact <= bound * (1 + 1e-12))
+            assert bound.sum() == pytest.approx(total[row], rel=1e-12)
+
+
+def test_lemma_norms_sum_at_most_65_percent_of_their_rules(monkeypatch):
+    # each Gauss-Hermite integral of the lemma suite counts its whole rule, k^(2n) nodes
+    whole = []
+    gh_integrals = quad._gh_integrals
+
+    def counting(coeffs, powers, freqs, p, k):
+        whole.append(k ** (2 * len(powers[0])))
+        return gh_integrals(coeffs, powers, freqs, p, k)
+
+    monkeypatch.setattr(quad, "_gh_integrals", counting)
+    summed = _summed_nodes(monkeypatch)
+    suite_lemmas([])
+    assert len(whole) == 362
+    assert sum(summed) <= 0.65 * sum(whole)
 
 
 def test_gh_norm_holds_one_block_at_a_time():
