@@ -30,7 +30,11 @@ to summation rounding.  ``tensor_values`` evaluates a symbol on each block
 from per-axis factor tables, for any number of axes; ``grid_points`` stacks a
 block's points for the slice-norm fallback of ell in ``wco``, the one
 integrand that is not separable.  ``tensor_sup`` is the one
-grid-plus-local-search maximizer.
+grid-plus-local-search maximizer; its local search, ``_nelder_mead``, is a
+port of scipy's Nelder-Mead (``scipy.optimize.minimize(method="Nelder-Mead")``
+in scipy 1.17.1, Copyright (c) 2001-2002 Enthought, Inc. 2003, SciPy
+Developers, BSD-3-Clause; its optimize module by Travis E. Oliphant) that
+returns scipy's result bit for bit, so no command loads ``scipy.optimize``.
 """
 from __future__ import annotations
 
@@ -541,12 +545,80 @@ def fock_norm(f: ExpPoly, p: float, spec: QuadSpec | None = None) -> NormResult:
     return NormResult(value, "quadrature", err)
 
 
+def _nelder_mead(f: Callable, x0: np.ndarray, maxiter: int, xatol: float, fatol: float):
+    """Minimize ``f`` by Nelder-Mead from ``x0``: (x, f(x), number of evaluations).
+
+    A step-for-step port of scipy 1.17.1's ``_minimize_neldermead``
+    (scipy/optimize/_optimize.py; Copyright (c) 2001-2002 Enthought, Inc.
+    2003, SciPy Developers, BSD-3-Clause) restricted to ``adaptive=False``, no
+    bounds and ``maxiter`` only, so that it returns scipy's x, fun and nfev
+    bit for bit: the same initial simplex, coefficients rho, chi, psi,
+    sigma = 1, 2, 1/2, 1/2, convergence test, vertex arithmetic and re-sort
+    by ``np.argsort`` (Nelder & Mead, Comput. J. 7, 1965).
+    """
+    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
+    x0 = np.asarray(x0, dtype=float).flatten()
+    n = len(x0)
+    sim = np.empty((n + 1, n), dtype=float)
+    sim[0] = x0
+    for k in range(n):
+        y = np.array(x0, copy=True)
+        y[k] = (1 + 0.05) * y[k] if y[k] != 0 else 0.00025
+        sim[k + 1] = y
+    fsim = np.full((n + 1,), np.inf, dtype=float)
+    for k in range(n + 1):
+        fsim[k] = f(sim[k].copy())
+    nfev = n + 1
+    for _ in range(2):  # scipy sorts twice before the first step; an argsort that is not stable may move ties
+        ind = fsim.argsort()
+        sim, fsim = sim.take(ind, 0), fsim.take(ind, 0)
+
+    iterations = 1
+    while iterations < maxiter:
+        if np.abs(sim[1:] - sim[0]).max() <= xatol and np.abs(fsim[0] - fsim[1:]).max() <= fatol:
+            break
+        xbar = np.add.reduce(sim[:-1], 0) / n
+        xr = (1 + rho) * xbar - rho * sim[-1]
+        fxr = f(xr)
+        nfev += 1
+        if fxr < fsim[0]:
+            xe = (1 + rho * chi) * xbar - rho * chi * sim[-1]
+            fxe = f(xe)
+            nfev += 1
+            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        else:
+            if fxr < fsim[-1]:  # outside contraction
+                xc = (1 + psi * rho) * xbar - psi * rho * sim[-1]
+                fxc = f(xc)
+                shrink = not fxc <= fxr
+            else:  # inside contraction
+                xc = (1 - psi) * xbar + psi * sim[-1]
+                fxc = f(xc)
+                shrink = not fxc < fsim[-1]
+            nfev += 1
+            if not shrink:
+                sim[-1], fsim[-1] = xc, fxc
+            else:
+                for j in range(1, n + 1):
+                    sim[j] = sim[0] + sigma * (sim[j] - sim[0])
+                    fsim[j] = f(sim[j].copy())
+                nfev += n
+        iterations += 1
+        ind = fsim.argsort()
+        sim, fsim = sim.take(ind, 0), fsim.take(ind, 0)
+    return sim[0], fsim.min(), nfev
+
+
 def tensor_sup(blocks: Iterable, axes: Sequence[np.ndarray], free: Sequence[int], value_at: Callable, refine_iters: int):
     """Largest value on a tensor grid, polished by Nelder-Mead from the best node.
 
     ``blocks`` yields (rows, values) over the ``grid_blocks`` blocks of the
     complex ``axes`` (overflow there is ignored); ``value_at(z)`` is the value
-    at one point.  The polish moves the coordinates in ``free`` only.  Returns
+    at one point.  The polish (``_nelder_mead``, the in-repo port of scipy's
+    Nelder-Mead, on -log of the value, at most 150 * ``refine_iters``
+    iterations) moves the coordinates in ``free`` only.  Returns
     (value, err_estimate, edge_ratio), edge_ratio being the largest value on
     the outer shell (radius >= 0.8 of the largest) over the overall one; from
     0.5 on, values grow toward the boundary and the maximum is not polished.
@@ -570,8 +642,6 @@ def tensor_sup(blocks: Iterable, axes: Sequence[np.ndarray], free: Sequence[int]
 
     refined = best
     if refine_iters > 0 and best > 0 and edge < 0.5:
-        from scipy import optimize  # imported here: loading it dominates start-up time
-
         free, half = list(free), len(free)
 
         def neg_log(x):
@@ -580,11 +650,8 @@ def tensor_sup(blocks: Iterable, axes: Sequence[np.ndarray], free: Sequence[int]
             return -math.log(value_at(z) + 1e-300)
 
         x0 = np.concatenate([best_at[free].real, best_at[free].imag])
-        res = optimize.minimize(
-            neg_log, x0, method="Nelder-Mead",
-            options={"maxiter": 150 * refine_iters, "xatol": 1e-9, "fatol": 1e-11},
-        )
-        cand = math.exp(-float(res.fun))
+        _, fun, _ = _nelder_mead(neg_log, x0, 150 * refine_iters, 1e-9, 1e-11)
+        cand = math.exp(-float(fun))
         if cand > refined:
             refined = cand
     return refined, abs(refined - best), edge

@@ -353,3 +353,90 @@ def test_gh_norm_integrates_every_coordinate():
     got, want = fock_norm(f4, 3.0, spec), fock_norm(f1, 3.0, spec)
     assert got.mode == want.mode == "quadrature"
     assert abs(got.value - want.value) <= 1e-12 * want.value
+
+
+# -- the Nelder-Mead port -------------------------------------------------------
+
+
+def _rosenbrock(x):
+    return float(np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (1.0 - x[:-1]) ** 2))
+
+
+def _kinked(x):
+    return float(np.sum(np.abs(x - 0.3)))
+
+
+def _flat(x):
+    return 1.0  # every comparison ties: inside contractions and shrinks only, and argsort on equal values
+
+
+def _staircase(x):
+    return float(np.sum(np.floor(4.0 * x) ** 2))  # plateaus: ties between distinct vertices
+
+
+NM_FUNCTIONS = {"rosenbrock": _rosenbrock, "kinked": _kinked, "flat": _flat, "staircase": _staircase}
+#: the last entry is 0, so the initial simplex also takes its 0.00025 step
+NM_START = [1.3, 0.7, 0.8, 1.9, 1.2, 0.0]
+
+
+def _nm_both(f, dim, maxiter):
+    """(the port's (x, fun, nfev), scipy's result) from the same start at tensor_sup's tolerances."""
+    from scipy import optimize
+
+    x0 = np.array(NM_START[-dim:])
+    ours = quad._nelder_mead(f, x0, maxiter, 1e-9, 1e-11)
+    theirs = optimize.minimize(f, x0, method="Nelder-Mead", options={"maxiter": maxiter, "xatol": 1e-9, "fatol": 1e-11})
+    return ours, theirs
+
+
+@pytest.mark.parametrize("maxiter", [20, 600])
+@pytest.mark.parametrize("dim", [2, 4, 6])
+@pytest.mark.parametrize("name", sorted(NM_FUNCTIONS))
+def test_nelder_mead_port_matches_scipy_bit_for_bit(name, dim, maxiter):
+    (x, fun, nfev), res = _nm_both(NM_FUNCTIONS[name], dim, maxiter)
+    assert x.tobytes() == res.x.tobytes()
+    assert np.float64(fun).tobytes() == np.float64(res.fun).tobytes()
+    assert nfev == res.nfev
+
+
+def test_nelder_mead_cases_reach_every_branch():
+    """The cases above run every step of the port and stop both ways; each run still matches scipy."""
+    import inspect
+    import sys
+
+    code = quad._nelder_mead.__code__
+    lines, first = inspect.getsourcelines(quad._nelder_mead)
+    hit: set[int] = set()
+
+    def trace(frame, event, arg):
+        if frame.f_code is not code:
+            return None
+
+        def line(frame, event, arg):
+            if event == "line":
+                hit.add(frame.f_lineno)
+            return line
+
+        return line
+
+    statuses = set()
+    for name, f in NM_FUNCTIONS.items():
+        for dim in (2, 4, 6):
+            for maxiter in (20, 600):
+                sys.settrace(trace)
+                try:
+                    (x, _, nfev), res = _nm_both(f, dim, maxiter)
+                finally:
+                    sys.settrace(None)
+                assert x.tobytes() == res.x.tobytes() and nfev == res.nfev
+                statuses.add(res.status)
+    ran = {lines[n - first].strip() for n in hit}
+    steps = {
+        "expansion": "fxe = f(xe)",
+        "outside contraction": "xc = (1 + psi * rho) * xbar - psi * rho * sim[-1]",
+        "inside contraction": "xc = (1 - psi) * xbar + psi * sim[-1]",
+        "shrink": "sim[j] = sim[0] + sigma * (sim[j] - sim[0])",
+        "convergence": "break",
+    }
+    assert not [step for step, text in steps.items() if text not in ran]
+    assert statuses == {0, 2}  # converged, and stopped at maxiter

@@ -4,7 +4,8 @@ No module imports an underscore name from another fockop module, no function
 body imports a fockop module (a lazy import is how a cycle hides), and the
 imports between fockop modules form no cycle; scipy is imported only inside
 the functions that call it, so importing fockop and running a closed-form
-command loads numpy alone; the package exports names, not modules; only
+command, or the numeric sup search, loads numpy alone, and no module imports
+``scipy.optimize``; the package exports names, not modules; only
 ``quad`` builds meshgrids or runs a local optimizer; only ``quad`` evaluates
 slice norms, which ``wco`` calls in one batch, and only the two stack grid
 points; and every quadrature setting is one problem-file key and one report
@@ -132,6 +133,36 @@ def test_closed_form_commands_run_cold_without_scipy(command):
     assert r.stderr == "[]"
 
 
+@pytest.mark.parametrize("command", ["classify", "bounds", "essnorm"])
+def test_numeric_sup_runs_cold_without_scipy(command):
+    """Corpus 14's several frequencies take the grid search and its Nelder-Mead polish, which need no scipy."""
+    code = (
+        "import sys; from fockop import cli, quad; polish, calls = quad._nelder_mead, []; "
+        "quad._nelder_mead = lambda *args: calls.append(1) or polish(*args); rc = cli.main(sys.argv[1:]); "
+        f"sys.stderr.write(repr((len(calls), {_SCIPY_LOADED}))); sys.exit(rc)"
+    )
+    r = subprocess.run(
+        [sys.executable, "-c", code, command, str(corpus_path("14_two_frequencies"))], capture_output=True, text=True
+    )
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.startswith("{")
+    assert r.stderr == "(1, [])"
+
+
+def test_no_module_imports_scipy_optimize():
+    bad = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [f"{node.module}.{alias.name}" for alias in node.names]
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            bad += [f"{path.name}:{node.lineno} imports {name}" for name in names if name.startswith("scipy.optimize")]
+    assert not bad, bad
+
+
 def test_imports_between_modules_form_no_cycle():
     edges = {mod: sorted({target for _, target, _ in imports}) for mod, imports in MODULES.items()}
     done: set[str] = set()
@@ -180,7 +211,8 @@ def test_package_exports_no_modules():
 
 
 def test_grid_order_and_sup_search_live_in_quad():
-    """Only quad builds meshgrids and runs the local sup search, so point order and polish have one home."""
+    """Only quad builds meshgrids and runs the local sup search (its Nelder-Mead port), so point order and
+    polish have one home."""
     bad = []
     for path in sorted(SRC.glob("*.py")):
         if path.name == "quad.py":
@@ -191,7 +223,8 @@ def test_grid_order_and_sup_search_live_in_quad():
                 names = [node.attr]
             elif isinstance(node, ast.ImportFrom):
                 names = [alias.name for alias in node.names]
-            bad += [f"{path.name}:{node.lineno} uses {name}" for name in names if name in ("meshgrid", "minimize")]
+            refused = ("meshgrid", "minimize", "_nelder_mead")
+            bad += [f"{path.name}:{node.lineno} uses {name}" for name in names if name in refused]
     assert not bad, bad
 
 

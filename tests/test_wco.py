@@ -14,6 +14,7 @@ import math
 import numpy as np
 import pytest
 
+from fockop import cli
 from fockop.errors import DomainError, UnsupportedExponentsError
 from fockop.funcspace import AffineMap, ExpPoly, Term, constant, kernel, monomial
 from fockop.linalg import is_unitary
@@ -33,7 +34,7 @@ from fockop.wco import (
     normalize,
 )
 
-from helpers import composition_criterion, m_at
+from helpers import composition_criterion, corpus_path, m_at
 
 
 def problem_07():
@@ -237,6 +238,103 @@ def test_numeric_ell_sup_matches_brute_force(psi, diag, g, rounds):
     assert r.mode == "quadrature"
     assert want - 1e-12 <= r.value <= want * (1.0 + 1e-6)
     assert r.err_estimate >= 0.0
+
+
+#: (psi, map, q) for each kind of separable ell the polish's point evaluator reads
+POINT_CASES = {
+    "two-frequencies": (kernel([0.3, -0.2]) + kernel([-0.4j, 0.1]), _rotated_map([0.8, 0.6], 5), 2.0),
+    # a square (numpy's z ** 2 is not np.power(z, 2)), a cube, and a term without factors
+    "two-frequencies-powers": (
+        ExpPoly(2, (Term(1.0, (2, 0), (0.3, -0.2)), Term(-0.5j, (1, 3), (-0.4j, 0.1)), Term(0.2, (0, 0), (0, 0)))),
+        _rotated_map([0.8, 0.6], 6),
+        2.0,
+    ),
+    "common-frequency-head-polynomial": (
+        ExpPoly(2, (Term(1.0, (0, 0), FREQ), Term(-0.4, (2, 0), FREQ), Term(0.3j, (1, 0), FREQ))),
+        AffineMap(np.diag([0.7, 0.0]), [0.1, 0.2j]),
+        3.0,
+    ),
+    "one-term-powers": (ExpPoly(2, (Term(0.7, (2, 1), FREQ),)), AffineMap(np.diag([0.8, 0.6]), [0.1, 0.2j]), 2.0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(POINT_CASES))
+def test_point_evaluator_is_ell_at_many_bit_for_bit(case):
+    from fockop import wco
+
+    psi, phi, q = POINT_CASES[case]
+    pf = ell_profile(normalize(WcoProblem(psi, phi, 2.0, q)), q)
+    assert pf.separable is not None and (case != "one-term-powers" or any(pf.separable.d))
+    s = pf.s
+    rng = np.random.default_rng(sorted(POINT_CASES).index(case))
+    # one batch of 4,000 points: from 16,384 on, numpy's temporary elision swaps the operands of eval_many's
+    # products, and ell_at_many's last bits no longer match one point's
+    pts = 2.5 * (rng.normal(size=(4000, s)) + 1j * rng.normal(size=(4000, s)))
+    pts[::7, 0] = 0.0  # log 0 where d > 0
+    pts[3::7, s - 1] = 0.0
+    pts[5] = 0.0
+    value = wco._ell_point(pf)
+    got = np.array([value(z) for z in pts])
+    assert got.tobytes() == ell_at_many(pf, pts).tobytes()
+    assert np.count_nonzero(got == 0.0) >= (100 if case == "one-term-powers" else 0)
+
+
+def _two_frequencies_rank2():
+    terms = (Term(1.0, (0, 0), (0.5, 0.3j)), Term(0.7j, (0, 0), (-0.2, 0.6)))
+    return WcoProblem(ExpPoly(2, terms), _rotated_map([0.6, 0.45], 11), 2.0, 2.0)
+
+
+#: corpus 14 and one problem of each numeric family of the benchmark's analyze workload
+SUP_CASES = {
+    "corpus-14": lambda: cli.load_problem(corpus_path("14_two_frequencies")).problem,
+    "multi-frequency": _two_frequencies_rank2,
+    "tail-monomial": lambda: WcoProblem(*FALLBACK_CASES["n2-rank1"][:2], 2.0, 2.0),
+    "small-target-numeric": lambda: WcoProblem(
+        ExpPoly(2, (Term(1.0, (0, 0), (0.3j, -0.3)), Term(0.5j, (1, 0), (0.3j, -0.3)))),
+        AffineMap(np.diag([0.6, 0.45]), [0.2, -0.1j]),
+        4.0,
+        2.0,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SUP_CASES))
+def test_sup_search_is_the_same_with_the_point_evaluator(monkeypatch, case):
+    """tensor_sup returns the same (value, err, edge) bits through the point evaluator as through ell_at, and as
+    with scipy's Nelder-Mead in place of the port."""
+    from fockop import wco
+
+    problem = SUP_CASES[case]()
+    pf = ell_profile(normalize(problem), problem.q)
+    assert (pf.separable is None) == (case == "tail-monomial")
+    results, evaluations = [], []
+    tensor_sup = wco.tensor_sup
+
+    def recording(blocks, axes, free, value_at, refine_iters):
+        def counted(z):
+            evaluations[-1] += 1
+            return value_at(z)
+
+        evaluations.append(0)
+        results.append(tensor_sup(blocks, axes, free, counted, refine_iters))
+        return results[-1]
+
+    monkeypatch.setattr(wco, "tensor_sup", recording)
+    ell_sup(pf)
+    monkeypatch.setattr(wco, "_ell_point", lambda profile: (lambda z: ell_at(profile, z)))
+    ell_sup(pf)
+
+    def scipy_nelder_mead(f, x0, maxiter, xatol, fatol):
+        from scipy import optimize
+
+        options = {"maxiter": maxiter, "xatol": xatol, "fatol": fatol}
+        res = optimize.minimize(f, x0, method="Nelder-Mead", options=options)
+        return res.x, res.fun, res.nfev
+
+    monkeypatch.setattr(quad, "_nelder_mead", scipy_nelder_mead)
+    ell_sup(pf)  # the polish as scipy.optimize ran it
+    assert len(results) == 3 and evaluations[0] == evaluations[1] == evaluations[2] > 50
+    assert np.array(results[0]).tobytes() == np.array(results[1]).tobytes() == np.array(results[2]).tobytes()
 
 
 # -- classification -----------------------------------------------------------
