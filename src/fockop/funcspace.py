@@ -159,11 +159,13 @@ class ExpPoly:
         out = np.zeros(pts.shape[:-1], dtype=complex)
         for coeff, power, freq in self.terms:
             acc = np.full(pts.shape[:-1], coeff, dtype=complex)
+            # explicit calls keep acc the first operand: a temporary-eliding `acc * x` on a large array
+            # may swap the operands, and a complex product's last bits depend on their order
             for i in range(self.n):
                 if power[i]:
-                    acc = acc * pts[..., i] ** power[i]
+                    acc = np.multiply(acc, pts[..., i] ** power[i])
                 if freq[i] != 0:
-                    acc = acc * np.exp(pts[..., i] * np.conj(freq[i]))
+                    acc = np.multiply(acc, np.exp(pts[..., i] * np.conj(freq[i])))
             out += acc
         return out
 

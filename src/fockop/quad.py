@@ -19,17 +19,15 @@ A tensor-product grid over several complex axes (here and in ``wco``) is
 never built whole: ``grid_blocks`` splits its points, in the row-major order
 of ``np.meshgrid(..., indexing="ij")``, into blocks of whole rows of the first
 axis holding at most ``max(_GRID_BLOCK, product of the other axis sizes)``
-points, and the sums run block by block.  A Gauss-Hermite norm first drops,
-per axis, the nodes that a separable bound proves negligible: with T terms,
-|sum_t c_t u_t|^p <= C_p sum_t |c_t|^p |u_t|^p, C_p = T^max(p - 1, 0), and
-the node weights and |u_t|^p factor over the axes, so the dropped nodes of
-an axis may carry at most 2^-70 of the bound's total, and a row whose dropped
-bound exceeds 2^-60 of its kept sum is summed again over the whole rule (see
-``_gh_integrals``); the rule and its values stay those of the whole grid, up
-to summation rounding.  ``tensor_values`` evaluates a symbol on each block
-from per-axis factor tables, for any number of axes; ``grid_points`` stacks a
-block's points for the slice-norm fallback of ell in ``wco``, the one
-integrand that is not separable.  ``tensor_sup`` is the one
+points.  ``tensor_log_sums`` is the one weighted tensor sum, which the
+Gauss-Hermite norms and ``wco``'s integral of ell read: it sums alone an axis
+that every term shares, drops per axis the nodes that a separable bound
+proves negligible (the values stay those of the whole grid up to summation
+rounding), evaluates the rest block by block from per-axis factor tables as
+``tensor_values`` does, and rescales in logs only the rows whose sums leave
+the double range.  ``grid_points`` stacks a block's points for the
+slice-norm fallback of ell in ``wco``, the one integrand that is not
+separable.  ``tensor_sup`` is the one
 grid-plus-local-search maximizer; its local search, ``_nelder_mead``, is a
 port of scipy's Nelder-Mead (``scipy.optimize.minimize(method="Nelder-Mead")``
 in scipy 1.17.1, Copyright (c) 2001-2002 Enthought, Inc. 2003, SciPy
@@ -50,7 +48,7 @@ from .funcspace import COEFF_DROP_TOL, FREQ_MERGE_TOL, ExpPoly, slice_head
 from .linalg import as_cvector
 
 __all__ = ["QuadSpec", "NormResult", "f2_gram", "f2_inner", "fock_norm", "grid_blocks", "slice_norm",
-           "slice_norm_many", "tensor_sup", "tensor_values"]
+           "slice_norm_many", "tensor_log_sums", "tensor_sup", "tensor_values"]
 
 
 #: fewest Gauss-Hermite nodes per real axis a certified quadrature takes
@@ -308,18 +306,20 @@ def plane_axis(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     return (xs[:, None] + 1j * ys[None, :]).ravel()
 
 
-def coordinate_grid(center: complex, p: float, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Complex nodes and weights for one complex coordinate of the p-measure.
+def coordinate_grid(center: complex, p: float, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Complex nodes, weights and the weights' logs for one complex coordinate of the p-measure.
 
     The weights fold in the measure prefactor (p/2pi), the Gaussian weight
     exp(-p|z|^2/2) and the (2/p) substitution factor, so summing weight times
-    integrand approximates (p/2pi) Integral g(z) exp(-p|z|^2/2) dA(z).
+    integrand approximates (p/2pi) Integral g(z) exp(-p|z|^2/2) dA(z).  The
+    logs stay finite where the Gaussian factor underflows.
     """
     t, wn = _gh_rule(k)
     h = math.sqrt(2.0 / p)
     z = plane_axis(center.real + t * h, center.imag + t * h)
     w = (wn[:, None] * wn[None, :]).ravel() * (2.0 / p)
-    return z, w * np.exp(-p * (np.abs(z) ** 2) / 2.0) * (p / (2.0 * math.pi))
+    gauss, scale = -p * (np.abs(z) ** 2) / 2.0, p / (2.0 * math.pi)
+    return z, w * np.exp(gauss) * scale, np.log(w) + gauss + math.log(scale)
 
 
 #: most points a tensor-product quadrature block holds, unless one row of the
@@ -360,34 +360,50 @@ def grid_points(axes: Sequence[np.ndarray], rows: slice) -> np.ndarray:
     return np.stack([m.ravel() for m in mesh], axis=-1)
 
 
-def _factor_tables(powers: Sequence, freqs: Sequence, axes: Sequence[np.ndarray]) -> list[np.ndarray]:
-    """Per axis i, the (terms, nodes) table of z^powers[t][i] e^{z conj(freqs[t][i])} over the nodes z of axes[i]."""
-    return [
-        np.array([np.exp(z * np.conj(f[i])) * z ** g[i] for g, f in zip(powers, freqs)]) for i, z in enumerate(axes)
-    ]
+def _factor_tables(powers: Sequence, freqs: Sequence, axes: Sequence[np.ndarray], balanced: bool = False):
+    """Per axis i, the (terms, nodes) table of z^powers[t][i] e^{z conj(freqs[t][i])} over the nodes z of axes[i].
+
+    With ``balanced``, (tables, logs): each node's column is divided by its largest modulus, whose log
+    is logs[i] there, the exponentials' largest real part split off first so that nothing overflows.
+    """
+    tables, logs = [], []
+    for i, z in enumerate(axes):
+        expo = np.array([z * np.conj(f[i]) for f in freqs])
+        shift = expo.real.max(axis=0) if balanced else 0.0
+        tables.append(np.array([np.exp(e - shift) * z ** g[i] for g, e in zip(powers, expo)]))
+        if balanced:
+            peak = np.abs(tables[-1]).max(axis=0)
+            tables[-1] /= np.where(peak > 0, peak, 1.0)
+            logs.append(shift + np.log(peak))
+    return (tables, logs) if balanced else tables
+
+
+def _block_values(coeffs: np.ndarray, tables: Sequence[np.ndarray], rows: slice, out=None) -> np.ndarray:
+    """sum_t coeffs[m, t] prod_i tables[i][t] on the ``grid_blocks`` block ``rows``, for every row m of ``coeffs``.
+
+    Each row's coefficients scale the first axis's table, each middle axis joins the term-wise
+    (Khatri-Rao) product, and one matmul with the last axis's table sums over the terms.  Shaped
+    (rows, block points) on one axis, else (rows, block points before the last axis, last axis nodes).
+    """
+    if len(tables) == 1:
+        return np.matmul(coeffs, tables[0][:, rows], out=out)
+    g = coeffs[:, :, None] * tables[0][:, rows]
+    for table in tables[1:-1]:
+        g = (g[..., None] * table[:, None, :]).reshape(len(coeffs), len(table), -1)
+    return np.matmul(np.swapaxes(g, 1, 2), tables[-1], out=out)
 
 
 def tensor_values(f: ExpPoly, axes: Sequence[np.ndarray]) -> Iterator[tuple[slice, np.ndarray]]:
     """``f`` on the tensor grid of the complex ``axes`` (one per variable), block by block.
 
-    Yields each ``grid_blocks`` block ``rows`` with the values there, shaped
-    (len rows, len axes[1], ..., len axes[-1]).  Per axis i the factor table
-    of z^power_i e^{z conj(freq_i)} (terms by nodes) is built once; per block
-    the coefficients scale the first axis's table, each middle axis is merged
-    into the term-wise (Khatri-Rao) product, and one matmul with the last
-    axis's table sums over the terms.
+    Yields each ``grid_blocks`` block ``rows`` with the ``_block_values`` there, shaped
+    (len rows, len axes[1], ..., len axes[-1]).
     """
-    coeffs = np.array([t.coeff for t in f.terms], dtype=complex)
+    coeffs = np.array([[t.coeff for t in f.terms]], dtype=complex)
     tables = _factor_tables([t.power for t in f.terms], [t.freq for t in f.terms], axes)
     sizes = [len(z) for z in axes]
     for rows in grid_blocks(sizes):
-        if f.n == 1:
-            yield rows, coeffs @ tables[0][:, rows]
-            continue
-        g = coeffs[:, None] * tables[0][:, rows]
-        for table in tables[1:-1]:
-            g = (g[:, :, None] * table[:, None, :]).reshape(len(coeffs), -1)
-        yield rows, (g.T @ tables[-1]).reshape(-1, *sizes[1:])
+        yield rows, _block_values(coeffs, tables, rows)[0].reshape(-1, *sizes[1:])
 
 
 #: share of the separable bound's total that the nodes dropped from one axis may carry
@@ -436,84 +452,144 @@ def _kept_nodes(factor: np.ndarray, mass: np.ndarray, total: np.ndarray) -> np.n
     return kept
 
 
-def _gh_sum(coeffs: np.ndarray, tables: Sequence[np.ndarray], weights: Sequence[np.ndarray], p: float) -> np.ndarray:
-    """The sum over the tensor grid of prod_i weights[i] |f_m|^p for every row m of ``coeffs``, block by block.
+def log_sum_exp(a: np.ndarray) -> float:
+    """log sum exp(a) over a real array; an infinite or NaN maximum (-inf for no entries) is returned as is."""
+    top = a.max(initial=-np.inf)
+    return float(top + np.log(np.sum(np.exp(a - top)))) if np.isfinite(top) else float(top)
 
-    Each ``grid_blocks`` block of nodes is evaluated as in ``tensor_values``,
-    with each row's coefficients scaling the first axis's table, for as many
-    rows at once as keep the values within ``_GRID_BLOCK`` entries; the
-    weights are contracted into |values|^p one axis at a time, the first axis
-    first.  One pair of value buffers serves every block.
+
+def _in_range(sums: np.ndarray) -> np.ndarray:
+    """Where a sum of nonnegative terms is finite and at least 2^-969, so that terms which underflow cost no digits."""
+    return (sums >= np.finfo(float).tiny / _UNIT_ROUNDOFF) & (sums < math.inf)
+
+
+def _weighted_sums(coeffs, tables, weights, p, axes, mask, log_weights=None) -> np.ndarray:
+    """Each row's sum over the grid of mask * prod_i weights[i] |f_m|^p, block by block, in linear scale.
+
+    A block's ``_block_values`` are taken for as many rows at once as fit in ``_GRID_BLOCK`` entries
+    (one pair of buffers serves every step), and the weights contracted one axis at a time, the first
+    first.  With ``log_weights``, the sums' logs, a block whose sum is not ``_in_range`` summed in logs.
     """
     sizes = [len(w) for w in weights]
-    total = np.zeros(len(coeffs))
-    values, moduli = np.empty(0, dtype=complex), np.empty(0)
+    totals = np.zeros(len(coeffs)) if log_weights is None else [[] for _ in coeffs]
+    buffers = np.empty(0, dtype=complex), np.empty(0)
     for rows in grid_blocks(sizes):
         w0 = weights[0][rows]
-        step = max(1, _GRID_BLOCK // (len(w0) * math.prod(sizes[1:])))
+        shape = (len(w0),) if len(sizes) == 1 else (len(w0) * math.prod(sizes[1:-1]), sizes[-1])
+        if mask is not None:
+            keep = np.broadcast_to(mask(block_axes(axes, rows)), (len(w0), *sizes[1:])).reshape(shape)
+        step = max(1, _GRID_BLOCK // math.prod(shape))
         for lo in range(0, len(coeffs), step):
             c = coeffs[lo : lo + step]
-            shape = (len(c), len(w0)) if len(tables) == 1 else (len(c), len(w0) * math.prod(sizes[1:-1]), sizes[-1])
-            size = math.prod(shape)
-            if len(values) < size:
-                values, moduli = np.empty(size, dtype=complex), np.empty(size)
-            vals, h = values[:size].reshape(shape), moduli[:size].reshape(shape)
-            if len(tables) == 1:
-                np.matmul(c, tables[0][:, rows], out=vals)
-            else:
-                g = c[:, :, None] * tables[0][:, rows]
-                for table in tables[1:-1]:
-                    g = (g[..., None] * table[:, None, :]).reshape(len(c), len(table), -1)
-                np.matmul(np.swapaxes(g, 1, 2), tables[-1], out=vals)
+            size = len(c) * math.prod(shape)
+            if len(buffers[0]) < size:
+                buffers = np.empty(size, dtype=complex), np.empty(size)
+            vals = _block_values(c, tables, rows, out=buffers[0][:size].reshape(len(c), *shape))
+            h = buffers[1][:size].reshape(vals.shape)
             np.power(np.abs(vals, out=h), p, out=h)
-            if len(tables) == 1:
-                total[lo : lo + step] += np.sum(np.multiply(h, w0, out=h), axis=1)
+            if mask is not None:
+                np.multiply(h, keep, out=h)
+            if len(sizes) == 1:
+                sums = np.sum(np.multiply(h, w0, out=h), axis=1)
+            else:
+                acc = w0 @ h.reshape(len(c), len(w0), -1)
+                for w in weights[1:-1]:
+                    acc = w @ acc.reshape(len(c), len(w), -1)
+                sums = acc @ weights[-1]
+            if log_weights is None:
+                totals[lo : lo + step] += sums
                 continue
-            acc = w0 @ h.reshape(len(c), len(w0), -1)
-            for w in weights[1:-1]:
-                acc = w @ acc.reshape(len(c), len(w), -1)
-            total[lo : lo + step] += acc @ weights[-1]
-    return total
+            for m, total, ok in zip(range(lo, lo + len(c)), sums, _in_range(sums)):
+                if not ok:
+                    terms = p * np.log(np.abs(vals[m - lo])) + sum(block_axes(log_weights, rows)).reshape(shape)
+                    total = log_sum_exp(terms if mask is None else terms[keep])
+                totals[m].append(math.log(total) if ok else total)
+    return totals if log_weights is None else np.array([log_sum_exp(np.array(logs)) for logs in totals])
 
 
-def _gh_integrals(coeffs: np.ndarray, powers: Sequence, freqs: Sequence, p: float, k: int) -> np.ndarray:
-    """Gauss-Hermite values, k nodes per real axis, of ||f_m||_p^p for every row m of ``coeffs``.
+def _scaled_log_sums(coeffs, powers, freqs, axes, log_weights, p, mask) -> np.ndarray:
+    """The log of each row's sum, for rows whose linear sum leaves the double range.
 
-    f_m = sum_t coeffs[m, t] z^powers[t] e^{<z, freqs[t]>}.  The rule is
-    centred at the mean frequency.  Before the sum, each axis drops the nodes
-    whose share of the sum the separable bound of ``_node_bounds`` (with
-    C_p = T^max(p - 1, 0) over T terms) puts at most ``_PRUNE_BUDGET``
-    (2^-70) of its total, for every row; ``_gh_sum`` then sums the kept
-    nodes.  A row whose dropped bound exceeds ``_PRUNE_CHECK`` (2^-60) of its
-    kept sum, as where the terms cancel, is summed again over the whole rule,
-    so every value is within 2^-60 of the whole rule's, below its rounding.
+    Every coefficient row, factor-table column (balanced in logs) and weight vector is divided by its
+    largest modulus, the removed factors adding up in logs; ``_weighted_sums`` sums the rest, in logs
+    point by point where a block's sum is still not ``_in_range``, as where the axes' peaks do not meet.
     """
-    center = np.mean(np.array(freqs, dtype=complex), axis=0)
-    coords, weights = zip(*(coordinate_grid(complex(c), p, k) for c in center))
-    tables = _factor_tables(powers, freqs, coords)
-    with np.errstate(over="ignore", invalid="ignore"):  # a bound that is not finite drops no node
+    top = np.abs(coeffs).max(axis=1)
+    with np.errstate(divide="ignore"):
+        tables, table_logs = _factor_tables(powers, freqs, axes, balanced=True)
+        log_ws = [lw + p * t for lw, t in zip(log_weights, table_logs)]
+        tops = [float(lw.max()) for lw in log_ws]
+        log_ws = [lw - t for lw, t in zip(log_ws, tops)]
+        coeffs = coeffs / np.where(top > 0, top, 1.0)[:, None]
+        sums = _weighted_sums(coeffs, tables, [np.exp(lw) for lw in log_ws], p, axes, mask, log_ws)
+        return p * np.log(top) + sum(tops) + sums
+
+
+def tensor_log_sums(
+    coeffs: np.ndarray, powers: Sequence, freqs: Sequence, axes: Sequence[np.ndarray], weights: Sequence[np.ndarray],
+    log_weights: Sequence[np.ndarray], p: float, log_scale: float = 0.0, mask: Callable | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The weighted tensor sum of every Gauss-Hermite norm and ell integral, for each row m of ``coeffs``:
+
+        e^log_scale  sum over the grid of mask(z) prod_i weights[i](z_i) |f_m(z)|^p,
+        f_m(z) = sum_t coeffs[m, t] prod_i z_i^powers[t][i] e^{z_i conj(freqs[t][i])},
+
+    over the tensor grid of the complex ``axes``, as (sums, logs) with the sum sums * e^logs;
+    ``log_weights`` are the logs of ``weights``, and ``mask`` maps a block's ``block_axes`` to a mask.
+    Without a mask, an axis on which every term has the same factor is summed alone, in logs.  The
+    other axes drop the nodes whose share of ``_node_bounds``' separable bound is at most
+    ``_PRUNE_BUDGET`` (2^-70) of its total for every row (a mask only lowers the sum), and the rest is
+    summed in linear scale with the weights as given, logs staying ``log_scale``.  A row whose dropped
+    bound exceeds ``_PRUNE_CHECK`` (2^-60) of its kept sum, as where terms cancel, is summed again over
+    the whole rule, so a value is within 2^-60 of the whole rule's; a row whose sum is not
+    ``_in_range`` is summed over the whole rule by ``_scaled_log_sums``, with sums 1.
+    """
+    # overflow is expected here: a bound that is not finite drops no node, and a sum out of range is rescaled
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        tables = _factor_tables(powers, freqs, axes)
+        logs = np.full(len(coeffs), float(log_scale))
+        if mask is None:
+            shared = [i for i, table in enumerate(tables) if (table == table[:1]).all()]
+            for i in shared:  # log|z^g e^{z conj(f)}| at the axis nodes z, in logs
+                z, g, f = axes[i], powers[0][i], freqs[0][i]
+                logs += log_sum_exp(log_weights[i] + p * (np.real(z * np.conj(f)) + (g * np.log(np.abs(z)) if g else 0)))
+            if len(shared) == len(axes):  # f_m is then sum_t coeffs[m, t] times the shared factors
+                return np.ones(len(coeffs)), logs + p * np.log(np.abs(coeffs.sum(axis=1)))
+            sub = lambda seq: [seq[i] for i in range(len(axes)) if i not in shared]  # noqa: E731
+            powers, freqs = [sub(g) for g in powers], [sub(f) for f in freqs]
+            axes, tables, weights, log_weights = sub(axes), sub(tables), sub(weights), sub(log_weights)
         factors, masses, bound_total = _node_bounds(coeffs, tables, weights, p)
         kept = [_kept_nodes(factor, mass, bound_total) for factor, mass in zip(factors, masses)]
-    if all(keep.all() for keep in kept):
-        return _gh_sum(coeffs, tables, weights, p)
-    kept_tables = [table[:, keep] for table, keep in zip(tables, kept)]
-    total = _gh_sum(coeffs, kept_tables, [w[keep] for w, keep in zip(weights, kept)], p)
-    dropped = sum(
-        factor @ mass[:, ~keep].sum(axis=1) for factor, mass, keep in zip(factors, masses, kept) if not keep.all()
-    )
-    redo = ~(dropped <= _PRUNE_CHECK * total)
-    if redo.any():
-        total[redo] = _gh_sum(coeffs[redo], tables, weights, p)
-    return total
+        pick = lambda arrays: [a[..., keep] for a, keep in zip(arrays, kept)]  # noqa: E731
+        sums = _weighted_sums(coeffs, pick(tables), pick(weights), p, pick(axes), mask)
+        if not all(keep.all() for keep in kept):
+            dropped = sum(factor @ mass[:, ~keep].sum(axis=1) for factor, mass, keep in zip(factors, masses, kept))
+            redo = ~(dropped <= _PRUNE_CHECK * sums)
+            if redo.any():
+                sums[redo] = _weighted_sums(coeffs[redo], tables, weights, p, axes, mask)
+    out = ~_in_range(sums)
+    if out.any():
+        sums[out], logs[out] = 1.0, logs[out] + _scaled_log_sums(coeffs[out], powers, freqs, axes, log_weights, p, mask)
+    return sums, logs
+
+
+def _gh_integrals(coeffs: np.ndarray, powers: Sequence, freqs: Sequence, p: float, k: int):
+    """Gauss-Hermite values, k nodes per real axis, of ||f_m||_p^p for every row m of ``coeffs``, as (sums, logs).
+
+    f_m = sum_t coeffs[m, t] z^powers[t] e^{<z, freqs[t]>}; the rule is centred at the mean frequency,
+    and ``tensor_log_sums`` takes its weights as they are, so a value within the double range has logs 0.
+    """
+    center = np.mean(np.array(freqs, dtype=complex), axis=0)
+    coords, weights, log_weights = zip(*(coordinate_grid(complex(c), p, k) for c in center))
+    return tensor_log_sums(coeffs, powers, freqs, coords, weights, log_weights, p)
 
 
 def _gh_integral_norm(f: ExpPoly, p: float, k: int) -> float:
-    """Quadrature value of the norm using k nodes per real axis, summed block by block."""
-    if not f.terms:
-        return 0.0
+    """Quadrature value of the norm of a nonzero symbol using k nodes per real axis, summed block by block."""
     coeffs = np.array([[t.coeff for t in f.terms]], dtype=complex)
-    total = float(_gh_integrals(coeffs, [t.power for t in f.terms], [t.freq for t in f.terms], p, k)[0])
-    return max(total, 0.0) ** (1.0 / p)
+    sums, logs = _gh_integrals(coeffs, [t.power for t in f.terms], [t.freq for t in f.terms], p, k)
+    with np.errstate(over="ignore"):
+        return max(float(sums[0]), 0.0) ** (1.0 / p) * float(np.exp(logs[0] / p))
 
 
 # -- public ops --------------------------------------------------------------
@@ -748,9 +824,10 @@ def slice_norm_many(psi: ExpPoly, q: float, heads: np.ndarray, spec: QuadSpec | 
             g = groups[0]
             out[rows] = size[rows, g] * single_term_norm(1.0 + 0j, powers[g], freqs[g], q)
         elif len(groups):
-            total = _gh_integrals(
+            sums, logs = _gh_integrals(
                 coeffs[np.ix_(rows, groups)], [powers[g] for g in groups], [freqs[g] for g in groups], q,
                 spec.resolve_nodes(psi.n - s),
             )
-            out[rows] = np.maximum(total, 0.0) ** (1.0 / q)
+            with np.errstate(over="ignore"):
+                out[rows] = np.maximum(sums, 0.0) ** (1.0 / q) * np.exp(logs / q)
     return out

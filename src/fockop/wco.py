@@ -29,7 +29,8 @@ batch of points), ell is separable (``SeparableEll``) and its grids are
 evaluated with ``quad.tensor_values``.  ``ell_log_integral`` is the one
 Gauss-Hermite integral of ell: its L^r norm here, and the pullback measure of
 ``carleson``, whose density is ell^q e^{-q|phi_t|^2/2}; on the separable form
-it is a contraction of per-axis vectors.  The Nelder-Mead polish of the sup
+it is one ``quad.tensor_log_sums`` over |g|^power, every other factor and
+weight entering per axis.  The Nelder-Mead polish of the sup
 search reads a separable ell one point at a time through ``_ell_point``,
 which gives ``ell_at``'s value bit for bit without its per-call work.
 
@@ -46,10 +47,11 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .errors import DimensionError, DomainError, UnsupportedExponentsError
-from .funcspace import AffineMap, ExpPoly, Term, compose_affine
+from .funcspace import AffineMap, ExpPoly, Term, compose_affine, constant
 from .linalg import as_cvector, svd
 from .quad import DEFAULT_SPEC, NormResult, QuadSpec, block_axes, factor_argmax, factor_log_max, fock_norm, grid_blocks
-from .quad import grid_points, hermite_rule, plane_axis, single_term_norm, slice_norm_many, tensor_sup, tensor_values
+from .quad import grid_points, hermite_rule, log_sum_exp, plane_axis, single_term_norm, slice_norm_many, tensor_log_sums
+from .quad import tensor_sup, tensor_values
 
 __all__ = [
     "WcoProblem",
@@ -490,8 +492,8 @@ def _ell_point(profile: EllProfile) -> Callable[[np.ndarray], float]:
     return value
 
 
-def _ell_blocks(profile: EllProfile, axes: Sequence[np.ndarray], spec: QuadSpec, where=None, log=False) -> Iterator:
-    """(rows, ell or, with ``log``, log ell) per block of the tensor grid of the complex head ``axes``.
+def _ell_blocks(profile: EllProfile, axes: Sequence[np.ndarray], spec: QuadSpec, where=None) -> Iterator:
+    """(rows, ell) per block of the tensor grid of the complex head ``axes``.
 
     The values are shaped like the block.  With ``where``, a mask of the block
     computed from its ``block_axes``, only the points it keeps are evaluated
@@ -504,15 +506,11 @@ def _ell_blocks(profile: EllProfile, axes: Sequence[np.ndarray], spec: QuadSpec,
         zs = block_axes(axes, rows)
         keep = None if where is None else where(zs)
         if sep is not None:
-            vals = _separable_log_ell(profile, zs, g_values)
-            vals = vals if log else np.exp(vals)
+            vals = np.exp(_separable_log_ell(profile, zs, g_values))
             yield rows, (vals if keep is None else vals[keep])
             continue
         pts = grid_points(axes, rows)
         vals = ell_at_many(profile, pts if keep is None else pts[keep.ravel()], spec)
-        if log:
-            with np.errstate(divide="ignore"):
-                vals = np.log(vals)
         yield rows, (vals.reshape(-1, *sizes[1:]) if keep is None else vals)
 
 
@@ -636,29 +634,22 @@ def _closed_form_log_integral(profile: EllProfile, r: float) -> float:
     return log_total
 
 
-def _logsumexp(a: np.ndarray) -> float:
-    """log sum exp(a) over a real 1-D array; an infinite or NaN maximum is returned as is."""
-    top = a.max()
-    return float(top + np.log(np.sum(np.exp(a - top)))) if np.isfinite(top) else float(top)
-
-
 def ell_log_integral(
-    profile: EllProfile, power: float, centers: Sequence[complex], rates: Sequence[float], spec: QuadSpec, log_weight=None
+    profile: EllProfile, power: float, centers: Sequence[complex], rates: Sequence[float], spec: QuadSpec,
+    log_weights: Callable | None = None, mask: Callable | None = None,
 ) -> float:
-    """Gauss-Hermite value of log Integral ell^power e^{log_weight} dA over C^s.
+    """Gauss-Hermite value of log Integral ell^power w dA over C^s, w = mask * prod_i e^{log w_i}.
 
     Coordinate i is integrated against the Gaussian exp(-rates[i] |z - centers[i]|^2),
-    whose compensating exponential is applied in log space.  ``log_weight``
-    maps the per-axis head coordinates of a block (``block_axes``) to values
-    broadcasting over it; -inf marks a point of zero weight, which the
-    slice-norm fallback of ell does not evaluate.
+    whose compensating exponential is applied in log space.  ``log_weights``
+    maps the per-axis node arrays to the log w_i there, and ``mask`` the head
+    coordinates of a block (``block_axes``) to where w is not zero, the only
+    points the slice-norm fallback of ell evaluates.  On the separable form,
+    the per-axis factors of ell^power weigh a ``tensor_log_sums`` of |g|^power.
     """
     s = profile.s
-    k = spec.resolve_nodes(s) if profile.separable is not None else min(10, spec.resolve_nodes(s))
-    t_rule, w_rule = hermite_rule(k)
-
-    axes = []
-    node_logs = []
+    t_rule, w_rule = hermite_rule(spec.resolve_nodes(s))
+    axes, node_logs = [], []
     for c, rate in zip(centers, rates):
         h = 1.0 / math.sqrt(rate)
         axes.append(plane_axis(c.real + t_rule * h, c.imag + t_rule * h))
@@ -666,90 +657,32 @@ def ell_log_integral(
         # space, so the e^{t^2} compensation must not be pre-applied
         lw = np.log(w_rule) - 0.5 * math.log(rate)
         node_logs.append(rate * np.abs(axes[-1] - c) ** 2 + (lw[:, None] + lw[None, :]).ravel())
-    if profile.separable is not None:
-        return _separable_log_integral(profile, power, axes, node_logs, log_weight)
-
-    where = None if log_weight is None else lambda zs: np.isfinite(log_weight(zs))  # noqa: E731
-    block_logs = []
-    for rows, logell in _ell_blocks(profile, axes, spec, where, log=True):
-        rule = sum(block_axes(node_logs, rows))
-        if log_weight is not None:
-            # ell came flat, at the points of nonzero weight only
-            lw = np.broadcast_to(log_weight(block_axes(axes, rows)), rule.shape)
-            keep = np.isfinite(lw)
-            rule = rule[keep] + lw[keep]
-        terms = power * logell + rule
-        block_logs.append(_logsumexp(terms.ravel()) if terms.size else -math.inf)
-    return _logsumexp(np.array(block_logs))
-
-
-#: a scaled block sum below this is redone in logs (its terms near 1e-308 would lose digits)
-_SCALED_SUM_FLOOR = 1e-200
-
-
-def _integrand_blocks(profile: EllProfile, power: float, axes: Sequence[np.ndarray], log_weight) -> Iterator:
-    """(rows, log(|g|^power e^{log_weight})) per block of the tensor grid of ``axes``, shaped like the block."""
-    g = profile.separable.g
-    sizes = [len(z) for z in axes]
-    for rows, g_values in tensor_values(g, axes) if g is not None else ((rows, None) for rows in grid_blocks(sizes)):
-        logs = 0.0 if g_values is None else power * np.log(np.maximum(np.abs(g_values), 1e-300))
-        if log_weight is not None:
-            logs = logs + log_weight(block_axes(axes, rows))
-        yield rows, np.broadcast_to(logs, (len(axes[0][rows]), *sizes[1:]))
-
-
-def _separable_log_integral(
-    profile: EllProfile, power: float, axes: Sequence[np.ndarray], node_logs: Sequence[np.ndarray], log_weight
-) -> float:
-    """log of the sum of ell^power e^{log_weight + sum_i node_logs[i]} over the tensor grid of the head ``axes``.
-
-    On the separable form, ell^power is |g|^power times a product of per-axis
-    factors.  Each axis's factor times its node weights is one vector, scaled
-    by its largest entry (the first axis's per block).  The rest, |g|^power
-    and the weight, is one array per block, scaled by its largest entry and
-    contracted with the vectors one axis at a time.  Axes that neither
-    involves are summed alone.  The largest entries of the array and of the
-    vectors need not meet at one point: a block whose scaled sum falls below
-    ``_SCALED_SUM_FLOOR``, where its products start to underflow, is summed
-    in logs point by point instead.
-    """
+    if log_weights is not None:
+        node_logs = [v + w for v, w in zip(node_logs, log_weights(axes))]
     sep = profile.separable
-    vecs = []
-    for z, a, d, u, extra in zip(axes, profile.a, sep.d, sep.u, node_logs):
-        mod = np.abs(z)
-        v = ((a**2 - 1.0) / 2.0) * mod**2 + np.real(z * np.conj(u))
-        if d:
+    if sep is None:
+        block_logs = []
+        for rows, ell in _ell_blocks(profile, axes, spec, mask):
+            rule = sum(block_axes(node_logs, rows))
+            if mask is not None:  # ell came flat, at the points of nonzero weight only
+                rule = rule[np.broadcast_to(mask(block_axes(axes, rows)), rule.shape)]
             with np.errstate(divide="ignore"):
-                v = v + d * np.log(mod)
-        vecs.append(power * v + extra)
-    if log_weight is not None:
-        involved = set(range(profile.s))
-    elif sep.g is not None:
-        involved = {i for _, power_g, freq_g in sep.g.terms for i in range(profile.s) if power_g[i] or freq_g[i]}
-    else:
-        involved = set()
-    log_total = power * sum(sep.log_const) + sum(_logsumexp(v) for i, v in enumerate(vecs) if i not in involved)
-    if not involved:
-        return log_total
-    grid = [z if i in involved else z[:1] for i, z in enumerate(axes)]
-    vecs = [v if i in involved else np.zeros(1) for i, v in enumerate(vecs)]
-    tops = [float(v.max()) for v in vecs[1:]]
-    scaled = [np.exp(v - top) for v, top in zip(vecs[1:], tops)]
-    block_logs = []
-    for rows, logs in _integrand_blocks(profile, power, grid, log_weight):
-        first = vecs[0][rows]
-        top, lead = float(logs.max()), float(first.max())
-        if not math.isfinite(top + lead):
-            block_logs.append(top + lead)  # -inf: zero weight throughout; inf or nan is passed on
-            continue
-        acc = np.exp(first - lead) @ np.exp(logs - top).reshape(len(first), -1)
-        for w in scaled:
-            acc = w @ acc.reshape(len(w), -1)
-        if acc[0] > _SCALED_SUM_FLOOR:
-            block_logs.append(top + lead + math.log(acc[0]))
-        else:
-            block_logs.append(_logsumexp((logs + sum(block_axes(vecs, rows))).ravel()) - sum(tops))
-    return log_total + sum(tops) + _logsumexp(np.array(block_logs))
+                block_logs.append(log_sum_exp(power * np.log(ell) + rule))
+        return log_sum_exp(np.array(block_logs))
+
+    with np.errstate(divide="ignore"):  # log|z| = -inf at a node z = 0
+        vecs = [
+            power * (((a**2 - 1.0) / 2.0) * np.abs(z) ** 2 + np.real(z * np.conj(u)) + (d * np.log(np.abs(z)) if d else 0))
+            + extra for z, a, d, u, extra in zip(axes, profile.a, sep.d, sep.u, node_logs)
+        ]
+    tops = [float(v.max()) for v in vecs]
+    vecs = [v - top for v, top in zip(vecs, tops)]
+    g = sep.g if sep.g is not None else constant(s)
+    sums, logs = tensor_log_sums(
+        np.array([[t.coeff for t in g.terms]], dtype=complex), [t.power for t in g.terms], [t.freq for t in g.terms],
+        axes, [np.exp(v) for v in vecs], vecs, power, power * sum(sep.log_const) + sum(tops), mask,
+    )
+    return float(np.log(sums[0]) + logs[0])
 
 
 def _lr_log_integral(profile: EllProfile, r: float, spec: QuadSpec) -> float:

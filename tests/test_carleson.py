@@ -196,7 +196,7 @@ def test_measure_on_the_slice_norm_fallback_skips_points_of_zero_weight(monkeypa
 
     monkeypatch.setattr(wco, "slice_norm_many", counting)
     small, large = (pullback_mass(nz, 2.0, [0.1], radius) for radius in (0.5, 4.0))
-    assert 0 < sum(points) < 2 * 10**2  # the capped rule has 10^2 nodes; the small ball holds few
+    assert 0 < points[0] < points[1] < 40**2  # the rule has 40^2 nodes; each ball holds fewer, the small one few
     assert 0.0 < small < large
     w = [0.2]
     exact = berezin_transform(nz, 2.0, w, method="identity")
@@ -224,17 +224,34 @@ def record_block_sizes(monkeypatch, name):
     return sizes
 
 
+def record_grids(monkeypatch):
+    """Patch ``quad.grid_blocks`` to record the axis sizes of every grid it splits and the points of every block."""
+    grids, blocks = [], []
+    grid_blocks = quad.grid_blocks
+
+    def recording(sizes):
+        grids.append(tuple(sizes))
+        for rows in grid_blocks(sizes):
+            blocks.append((rows.stop - rows.start) * math.prod(sizes[1:]))
+            yield rows
+
+    monkeypatch.setattr(quad, "grid_blocks", recording)
+    return grids, blocks
+
+
 def test_log_integral_feeds_ell_one_block_at_a_time(monkeypatch):
     # corpus 09 has rank 2: its 40^2 x 40^2 rule has 2,560,000 points.  Its ell is one term, a
-    # product of per-axis factors, so its L^r integral is a product of per-axis sums; the
-    # measure's ball weight joins the axes, and the contraction takes the grid block by block
+    # product of per-axis factors, so its L^r integral is a product of per-axis sums and needs no
+    # grid; the measure's ball weight joins the axes, and the weighted tensor sum takes the grid
+    # block by block
     an = corpus_09()
-    sizes = record_block_sizes(monkeypatch, "_integrand_blocks")
+    grids, blocks = record_grids(monkeypatch)
     wco._lr_log_integral(an.profile, 4.0, FORCE_QUAD)
-    assert sizes == []
+    assert grids == []
     pullback_mass(an.normalization, 2.0, [0.1, -0.2j], 2.0, FORCE_QUAD)
-    assert sum(sizes) == 40**4
-    assert max(sizes) <= max(quad._GRID_BLOCK, 40**2)
+    assert grids and all(len(sizes) == 2 and max(sizes) <= 40**2 for sizes in grids)
+    assert sum(blocks) == sum(math.prod(sizes) for sizes in grids)
+    assert max(blocks) <= max(quad._GRID_BLOCK, 40**2)
 
 
 def test_integral_evidence_feeds_ell_one_block_at_a_time(monkeypatch):
@@ -297,16 +314,26 @@ def per_point_log_integral(profile, power, centers, rates, k, log_weight=None):
 
 
 def ball(center, radius):
-    return lambda zs: np.where(sum(np.abs(z - c) ** 2 for z, c in zip(zs, center)) <= radius**2, 0.0, -np.inf)
+    """The mask of a ball, as ``ell_log_integral`` takes it, on the head coordinates of a block."""
+    return lambda zs: sum(np.abs(z - c) ** 2 for z, c in zip(zs, center)) <= radius**2
 
 
-def berezin_weight(profile, q, w):
-    """log |k_w|^q at the image a z + b of the head point, as ``berezin_transform`` weighs the measure."""
+def berezin_weights(profile, q, w):
+    """Per axis, log |k_w|^q's factor at the image a z + b of the head point, as ``berezin_transform`` weighs
+    the measure."""
     nz = profile.normalization
     a, b = nz.diag[: profile.s], nz.b_t[: profile.s]
-    return lambda zs: q * sum(
-        np.real((a_i * z + b_i) * np.conj(w_i)) - abs(w_i) ** 2 / 2 for z, a_i, b_i, w_i in zip(zs, a, b, w)
-    )
+    return lambda axes: [
+        q * (np.real((a_i * z + b_i) * np.conj(w_i)) - abs(w_i) ** 2 / 2) for z, a_i, b_i, w_i in zip(axes, a, b, w)
+    ]
+
+
+def as_log_weight(log_weights=None, mask=None):
+    """The per-point log weight of per-axis log weights and a mask, for ``per_point_log_integral``."""
+    def log_weight(zs):
+        total = 0.0 if log_weights is None else sum(log_weights(zs))
+        return total if mask is None else np.where(mask(zs), total, -np.inf)
+    return log_weight
 
 
 CONTRACTION_CASES = {
@@ -316,6 +343,7 @@ CONTRACTION_CASES = {
     # two frequencies at full rank: g = psi_t involves both axes
     "g-in-a-ball": (kernel([0.3, -0.2]) + kernel([-0.4j, 0.1]), [0.6, 0.3], 4.0, 2.0, 16, "ball"),
     "g-berezin": (kernel([0.3, -0.2]) + kernel([-0.4j, 0.1]), [0.6, 0.3], 4.0, 2.0, 16, "berezin"),
+    "g-berezin-in-a-ball": (kernel([0.3, -0.2]) + kernel([-0.4j, 0.1]), [0.6, 0.3], 4.0, 2.0, 16, "both"),
     "one-term-berezin": (kernel([0.3, -0.2]), [0.8, 0.5], 3.0, 1.5, 16, "berezin"),
     # g = 1 + 0.5 z1 is the head polynomial of a common frequency: axis 2 is summed alone
     "g-on-one-axis": (
@@ -339,31 +367,26 @@ def test_contraction_matches_per_point_logsumexp(monkeypatch, case, block):
     ts = [(1.0 - a * a) / 2.0 for a in profile.a]
     centers = [0j] * profile.s if case.startswith("powers") else [w / (2.0 * t) for w, t in zip(profile.w, ts)]
     rates = [r * t for t in ts]
-    log_weight = {
-        None: None,
-        "ball": ball([0.5] * profile.s, 2.0),
-        "berezin": berezin_weight(profile, q, [0.4 - 0.3j] * profile.s),
-    }[weight]
-    want = per_point_log_integral(profile, r, centers, rates, k, log_weight)
+    log_weights = berezin_weights(profile, q, [0.4 - 0.3j] * profile.s) if weight in ("berezin", "both") else None
+    mask = ball([0.5] * profile.s, 2.0) if weight in ("ball", "both") else None
+    want = per_point_log_integral(profile, r, centers, rates, k, as_log_weight(log_weights, mask))
     if block is not None:
         monkeypatch.setattr(quad, "_GRID_BLOCK", block)
-    got = wco.ell_log_integral(profile, r, centers, rates, QuadSpec(nodes_per_axis=k), log_weight)
+    got = wco.ell_log_integral(profile, r, centers, rates, QuadSpec(nodes_per_axis=k), log_weights, mask)
     assert math.isfinite(want)
     assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
 
 
 def test_contraction_sums_a_block_in_logs_where_its_scaled_sum_underflows(monkeypatch):
-    # |k_w|^q at w = 100 is largest on the rim of a 300-node rule, where ell's per-axis factor is
-    # about e^{-500} below its top: scaled by the two maxima, every product underflows
-    nz = normalize(WcoProblem(kernel([0.3]), AffineMap([[0.3]], [0.1]), 4.0, 2.0))
+    # g = e^{40 z1} + e^{40 z2}: on each axis one term's factor is the largest, so rescaled by those
+    # largest factors both terms are about e^{-450} at the rim, where |k_w|^q at w = (100, 100) puts
+    # the weight; |g|^r there also overflows unscaled, so every block is summed in logs point by point
+    nz = normalize(WcoProblem(kernel([40.0, 0.0]) + kernel([0.0, 40.0]), AffineMap(np.diag([0.6, 0.5]), [0, 0]), 4.0, 2.0))
     profile = ell_profile(nz, 2.0)
-    center = profile.w[0] - nz.diag[0] * nz.b_t[0]
-    log_weight = berezin_weight(profile, 2.0, [100.0])
-    monkeypatch.setattr(quad, "_GRID_BLOCK", 300**2)  # one block, scaled by the whole axis's maximum
+    log_weights = berezin_weights(profile, 2.0, [100.0, 100.0])
     sums = []
-    logsumexp = wco._logsumexp
-    monkeypatch.setattr(wco, "_logsumexp", lambda a: sums.append(a.size) or logsumexp(a))
-    got = wco.ell_log_integral(profile, 2.0, [center], [1.0], QuadSpec(nodes_per_axis=300), log_weight)
-    assert max(sums) > 300  # a block summed point by point
-    want = per_point_log_integral(profile, 2.0, [center], [1.0], 300, log_weight)
+    monkeypatch.setattr(quad, "log_sum_exp", lambda a, f=quad.log_sum_exp: sums.append(a.size) or f(a))
+    got = wco.ell_log_integral(profile, 2.0, [6.0 + 0j] * 2, [1.0] * 2, QuadSpec(nodes_per_axis=20), log_weights)
+    assert max(sums) > 20**2  # a block summed point by point
+    want = per_point_log_integral(profile, 2.0, [6.0 + 0j] * 2, [1.0] * 2, 20, as_log_weight(log_weights))
     assert abs(got - want) <= 1e-12 * max(1.0, abs(want))

@@ -237,6 +237,41 @@ def test_verify_accepts_files_whose_quad_blocks_match(tmp_path):
     assert r.stdout.splitlines()[-1] == "2/2 properties passed, 0 skipped"
 
 
+def problem_file(path, n, p, q, terms, A, b):
+    """Write a problem file: terms as (coeff, power, freq), A as rows of complex numbers."""
+    pair = lambda z: [complex(z).real, complex(z).imag]  # noqa: E731
+    path.write_text(json.dumps({
+        "version": 1, "n": n, "p": p, "q": q,
+        "psi": [{"coeff": pair(c), "power": list(g), "freq": [pair(f) for f in fr]} for c, g, fr in terms],
+        "phi": {"A": [pair(z) for row in A for z in row], "b": [pair(z) for z in b]},
+    }))
+    return path
+
+
+def test_verify_carleson_on_a_common_frequency_tail_monomial_weight(tmp_path, capsys):
+    # rank 1 on C^2 and a weight with a tail monomial: ell reads slice norms, and the measure's
+    # Berezin transform read two ways must agree on the whole 40-node rule
+    u = (0.3, 0.2j)
+    path = problem_file(
+        tmp_path / "tail.json", 2, 4.0, 1.5, [(1.0, (0, 0), u), (0.7, (0, 1), u), (0.4, (1, 0), u)],
+        [[0.6, 0.0], [0.0, 0.0]], [0.1, 0.2],
+    )
+    assert cli.main(["verify", str(path), "--suite", "carleson"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["passed"], doc["skipped"], doc["failed"]) == (1, 0, 0)
+
+
+@pytest.mark.parametrize("w, want", [(12.0, 1.3043808543444165e32), (20.0, 7.956774013466384e87)])
+def test_bounds_of_a_constant_map_whose_weight_norm_overflows_unscaled(tmp_path, w, want):
+    # A = 0, b = 0: the norm is ||(1 + 0.5 z) e^{wz}||_4, whose 4th power overflows on the quadrature grid
+    path = problem_file(tmp_path / "e.json", 1, 4.0, 4.0, [(1.0, (0,), (w,)), (0.5, (1,), (w,))], [[0.0]], [0.0])
+    r = run_cli("bounds", str(path))
+    assert r.returncode == 0, r.stderr
+    bounds = json.loads(r.stdout)["norm_bounds"]
+    assert bounds["lower"] == bounds["upper"]
+    assert bounds["upper"]["value"] == pytest.approx(want, rel=1e-9)
+
+
 # -- each quantity once ----------------------------------------------------------
 
 

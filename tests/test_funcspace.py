@@ -87,6 +87,25 @@ def test_eval_many_agrees_with_eval():
         assert vals[i] == pytest.approx(f.eval(pts[i]), rel=1e-13)
 
 
+@pytest.mark.parametrize("m", [16383, 16384])
+def test_eval_many_gives_the_same_bits_at_every_batch_size(m):
+    # from 16,384 complex values (256 KiB) on, numpy may reuse a temporary operand of a product, and
+    # a complex product whose operands it swaps rounds differently; a 9-term weight on C^2
+    rng = np.random.default_rng(16384)
+    f = ExpPoly(2, tuple(
+        Term(complex(*rng.normal(size=2)), tuple(int(k) for k in rng.integers(0, 3, 2)),
+             tuple(complex(*rng.uniform(-1.0, 1.0, 2)) for _ in range(2)))
+        for _ in range(9)
+    ))
+    assert len(f.terms) == 9
+    pts = rng.normal(size=(m, 2)) + 1j * rng.normal(size=(m, 2))
+    whole = f.eval_many(pts)
+    chunks = np.concatenate([f.eval_many(pts[i : i + 1000]) for i in range(0, m, 1000)])
+    assert whole.tobytes() == chunks.tobytes()
+    for i in range(0, m, 1021):
+        assert whole[i] == f.eval_many(pts[i : i + 1])[0]
+
+
 @pytest.mark.parametrize(
     "head,tail",
     [([0.5], None), ([1.0 + 1.0j], None), (None, [2.0]), (None, [-0.3j])],

@@ -271,7 +271,7 @@ def test_node_bounds_hold_for_every_axis_node(n, p):
     coeffs = np.array([[t.coeff for t in f.terms], rng.normal(size=3) + 1j * rng.normal(size=3)])
     powers, freqs = [t.power for t in f.terms], [t.freq for t in f.terms]
     center = np.mean(np.array(freqs), axis=0)
-    coords, weights = zip(*(quad.coordinate_grid(complex(c), p, 8) for c in center))
+    coords, weights, _ = zip(*(quad.coordinate_grid(complex(c), p, 8) for c in center))
     factors, masses, total = quad._node_bounds(coeffs, quad._factor_tables(powers, freqs, coords), weights, p)
     mesh = np.meshgrid(*coords, indexing="ij")
     points = np.stack([m.ravel() for m in mesh], axis=-1)
@@ -315,6 +315,67 @@ def test_gh_norm_holds_one_block_at_a_time():
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2**20
+
+
+# -- the one weighted tensor-sum kernel ---------------------------------------------
+
+
+def _per_point_log_sums(coeffs, powers, freqs, axes, log_weights, p, mask):
+    """log of sum mask * prod_i e^{log_weights[i]} |f_m|^p per row m, over the stacked grid, summed in logs."""
+    pts = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=-1)
+    rule = sum(m.ravel() for m in np.meshgrid(*log_weights, indexing="ij"))
+    if mask is not None:
+        rule = np.where(mask(list(pts.T)), rule, -np.inf)
+    out = []
+    for c in coeffs:
+        values = sum(
+            a * np.prod([z ** g[i] * np.exp(z * np.conj(f[i])) for i, z in enumerate(pts.T)], axis=0)
+            for a, g, f in zip(c, powers, freqs)
+        )
+        terms = p * np.log(np.abs(values)) + rule
+        top = terms.max()
+        out.append(float(top + np.log(np.sum(np.exp(terms - top)))))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("prune", [True, False])
+@pytest.mark.parametrize("masked", [False, True])
+@pytest.mark.parametrize("p", [0.5, 0.7, 1.0, 3.5, 28.0])
+def test_tensor_log_sums_match_per_point_logsumexp(monkeypatch, p, masked, prune):
+    # three axes, the last one shared by every term (summed alone when there is no mask); coefficient
+    # rows of scale 1, 1e-200 and 1e20, whose sums at p = 28 leave the double range; a quarter of the
+    # nodes weigh e^-80 less, so the separable bound drops them
+    rng = np.random.default_rng(int(p * 10) + 2 * masked + prune)
+    sizes = (5, 4, 3)
+    axes = [rng.normal(size=m) + 1j * rng.normal(size=m) for m in sizes]
+    powers = [(int(rng.integers(0, 3)), int(rng.integers(0, 3)), 1) for _ in range(3)]
+    shared = complex(*rng.uniform(-0.8, 0.8, 2))
+    freqs = [tuple(complex(*rng.uniform(-0.8, 0.8, 2)) for _ in range(2)) + (shared,) for _ in range(3)]
+    coeffs = (rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))) * np.array([[1.0], [1e-200], [1e20]])
+    log_weights = [3.0 * rng.normal(size=m) - 80.0 * (np.arange(m) % 4 == 3) for m in sizes]
+    mask = (lambda zs: sum(np.abs(z) ** 2 for z in zs) <= 4.0) if masked else None
+    monkeypatch.setattr(quad, "_GRID_BLOCK", 7)
+    if not prune:
+        monkeypatch.setattr(quad, "_PRUNE_BUDGET", 0.0)
+    want = _per_point_log_sums(coeffs, powers, freqs, axes, log_weights, p, mask)
+    sums, logs = quad.tensor_log_sums(
+        coeffs, powers, freqs, axes, [np.exp(lw) for lw in log_weights], log_weights, p, 0.0, mask
+    )
+    assert np.all(np.isfinite(want))
+    assert np.all(np.abs(np.log(sums) + logs - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+
+
+@pytest.mark.parametrize(
+    "w, want", [(12.0, 1.3043808543444165e32), (20.0, 7.956774013466384e87), (37.0, 3.6707108024844188e298)]
+)
+def test_gh_norm_whose_pth_power_leaves_the_double_range(w, want):
+    # (1 + 0.5 z) e^{wz} at p = 4: |f|^4 overflows at the far nodes of the rule centred at w, at w = 20
+    # the rule's Gaussian weights underflow there, and at w = 37 so does e^{z conj(w)} itself; the
+    # references are mpmath values of ||f||_4 = ||f(./sqrt(2))^2||_2^(1/2), an exact p = 2 norm
+    f = ExpPoly(1, (Term(1.0 + 0j, (0,), (w + 0j,)), Term(0.5 + 0j, (1,), (w + 0j,))))
+    got = fock_norm(f, 4.0)
+    assert got.mode == "quadrature"
+    assert got.value == pytest.approx(want, rel=1e-9)
 
 
 # -- the tensor-grid evaluator and the sup search ---------------------------------

@@ -228,17 +228,27 @@ def test_grid_order_and_sup_search_live_in_quad():
     assert not bad, bad
 
 
-#: the modules that may name each slice-norm evaluator or the grid-point stacker
+#: the modules that may name each slice-norm evaluator, the grid-point stacker, the weighted tensor-sum
+#: kernel and its parts; an empty set marks a name that no longer exists
 _EVALUATOR_HOMES = {
     "slice_norm": {"quad.py", "__init__.py"},
     "slice_norm_many": {"quad.py", "wco.py"},
     "grid_points": {"quad.py", "wco.py"},
+    "tensor_log_sums": {"quad.py", "wco.py"},
+    "_node_bounds": {"quad.py"},
+    "_kept_nodes": {"quad.py"},
+    "_factor_tables": {"quad.py"},
+    "_gh_sum": set(),
+    "_integrand_blocks": set(),
+    "_separable_log_integral": set(),
 }
 
 
 def test_ell_and_slice_norms_are_evaluated_only_in_wco():
     """Slice norms are evaluated in quad, and for ell only by wco's one batched call; quad.slice_norm,
-    the single-point reference, is named only by quad and the package export, so no per-point loop returns."""
+    the single-point reference, is named only by quad and the package export, so no per-point loop returns.
+    Every weighted tensor sum, the Gauss-Hermite norms' and the ell integral's, is one quad kernel with its
+    node pruning and factor tables, called by quad and wco alone; the former second copies stay gone."""
     bad = []
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
@@ -262,3 +272,13 @@ def test_every_quadrature_setting_is_a_file_key_and_a_report_field():
     fields = {f.name for f in dataclasses.fields(QuadSpec)}
     report = cli.cmd_classify(cli.load_problem(corpus_path("14_two_frequencies")))
     assert fields == set(cli._QUAD_OVERRIDE_KEYS) == set(report["quad"])
+
+
+def test_the_weighted_tensor_sum_kernel_is_defined_once_in_quad():
+    defined = {
+        path.name: {node.name for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.FunctionDef)}
+        for path in sorted(SRC.glob("*.py"))
+    }
+    homes = {name: sorted(mod for mod, names in defined.items() if name in names) for name in _EVALUATOR_HOMES}
+    assert homes["tensor_log_sums"] == ["quad.py"]
+    assert all(homes[name] == [] for name, allowed in _EVALUATOR_HOMES.items() if not allowed)
