@@ -27,12 +27,9 @@ rounding), evaluates the rest block by block from per-axis factor tables as
 ``tensor_values`` does, and rescales in logs only the rows whose sums leave
 the double range.  ``grid_points`` stacks a block's points for the
 slice-norm fallback of ell in ``wco``, the one integrand that is not
-separable.  ``tensor_sup`` is the one
-grid-plus-local-search maximizer; its local search, ``_nelder_mead``, is a
-port of scipy's Nelder-Mead (``scipy.optimize.minimize(method="Nelder-Mead")``
-in scipy 1.17.1, Copyright (c) 2001-2002 Enthought, Inc. 2003, SciPy
-Developers, BSD-3-Clause; its optimize module by Travis E. Oliphant) that
-returns scipy's result bit for bit, so no command loads ``scipy.optimize``.
+separable.  ``tensor_sup`` is the one maximizer: a grid search, refined by
+the same search on 3 x 3 grids per coordinate with shrinking steps around the
+best node, each level one batched evaluation.
 """
 from __future__ import annotations
 
@@ -621,115 +618,63 @@ def fock_norm(f: ExpPoly, p: float, spec: QuadSpec | None = None) -> NormResult:
     return NormResult(value, "quadrature", err)
 
 
-def _nelder_mead(f: Callable, x0: np.ndarray, maxiter: int, xatol: float, fatol: float):
-    """Minimize ``f`` by Nelder-Mead from ``x0``: (x, f(x), number of evaluations).
+def _grid_max(blocks: Iterable, axes: Sequence[np.ndarray], shell: float | None = None):
+    """(largest value, its point, largest value at radius >= ``shell``) over ``blocks`` of the grid of ``axes``.
 
-    A step-for-step port of scipy 1.17.1's ``_minimize_neldermead``
-    (scipy/optimize/_optimize.py; Copyright (c) 2001-2002 Enthought, Inc.
-    2003, SciPy Developers, BSD-3-Clause) restricted to ``adaptive=False``, no
-    bounds and ``maxiter`` only, so that it returns scipy's x, fun and nfev
-    bit for bit: the same initial simplex, coefficients rho, chi, psi,
-    sigma = 1, 2, 1/2, 1/2, convergence test, vertex arithmetic and re-sort
-    by ``np.argsort`` (Nelder & Mead, Comput. J. 7, 1965).
+    ``blocks`` yields (rows, values) over the ``grid_blocks`` blocks; the shell
+    maximum is -inf without ``shell``.  A non-finite value gives (inf, None, inf).
     """
-    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
-    x0 = np.asarray(x0, dtype=float).flatten()
-    n = len(x0)
-    sim = np.empty((n + 1, n), dtype=float)
-    sim[0] = x0
-    for k in range(n):
-        y = np.array(x0, copy=True)
-        y[k] = (1 + 0.05) * y[k] if y[k] != 0 else 0.00025
-        sim[k + 1] = y
-    fsim = np.full((n + 1,), np.inf, dtype=float)
-    for k in range(n + 1):
-        fsim[k] = f(sim[k].copy())
-    nfev = n + 1
-    for _ in range(2):  # scipy sorts twice before the first step; an argsort that is not stable may move ties
-        ind = fsim.argsort()
-        sim, fsim = sim.take(ind, 0), fsim.take(ind, 0)
-
-    iterations = 1
-    while iterations < maxiter:
-        if np.abs(sim[1:] - sim[0]).max() <= xatol and np.abs(fsim[0] - fsim[1:]).max() <= fatol:
-            break
-        xbar = np.add.reduce(sim[:-1], 0) / n
-        xr = (1 + rho) * xbar - rho * sim[-1]
-        fxr = f(xr)
-        nfev += 1
-        if fxr < fsim[0]:
-            xe = (1 + rho * chi) * xbar - rho * chi * sim[-1]
-            fxe = f(xe)
-            nfev += 1
-            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
-        elif fxr < fsim[-2]:
-            sim[-1], fsim[-1] = xr, fxr
-        else:
-            if fxr < fsim[-1]:  # outside contraction
-                xc = (1 + psi * rho) * xbar - psi * rho * sim[-1]
-                fxc = f(xc)
-                shrink = not fxc <= fxr
-            else:  # inside contraction
-                xc = (1 - psi) * xbar + psi * sim[-1]
-                fxc = f(xc)
-                shrink = not fxc < fsim[-1]
-            nfev += 1
-            if not shrink:
-                sim[-1], fsim[-1] = xc, fxc
-            else:
-                for j in range(1, n + 1):
-                    sim[j] = sim[0] + sigma * (sim[j] - sim[0])
-                    fsim[j] = f(sim[j].copy())
-                nfev += n
-        iterations += 1
-        ind = fsim.argsort()
-        sim, fsim = sim.take(ind, 0), fsim.take(ind, 0)
-    return sim[0], fsim.min(), nfev
+    best, best_at, shell_max = -math.inf, None, -math.inf
+    for rows, vals in blocks:
+        vals = np.nan_to_num(vals, nan=np.inf)
+        if not np.all(np.isfinite(vals)):
+            return math.inf, None, math.inf
+        if shell is not None:
+            rad = np.sqrt(sum(np.abs(z) ** 2 for z in block_axes(axes, rows)))
+            shell_max = max(shell_max, float(vals.max(where=rad >= shell, initial=-np.inf)))
+        idx = np.unravel_index(int(np.argmax(vals)), vals.shape)
+        if vals[idx] > best:
+            best = float(vals[idx])
+            best_at = np.array([z[i] for z, i in zip([axes[0][rows], *axes[1:]], idx)])
+    return best, best_at, shell_max
 
 
-def tensor_sup(blocks: Iterable, axes: Sequence[np.ndarray], free: Sequence[int], value_at: Callable, refine_iters: int):
-    """Largest value on a tensor grid, polished by Nelder-Mead from the best node.
+def tensor_sup(blocks: Callable, axes: Sequence[np.ndarray], free: Sequence[int], refine_iters: int):
+    """Largest value on a tensor grid, refined by the same search on shrinking grids around the best node.
 
-    ``blocks`` yields (rows, values) over the ``grid_blocks`` blocks of the
-    complex ``axes`` (overflow there is ignored); ``value_at(z)`` is the value
-    at one point.  The polish (``_nelder_mead``, the in-repo port of scipy's
-    Nelder-Mead, on -log of the value, at most 150 * ``refine_iters``
-    iterations) moves the coordinates in ``free`` only.  Returns
-    (value, err_estimate, edge_ratio), edge_ratio being the largest value on
-    the outer shell (radius >= 0.8 of the largest) over the overall one; from
-    0.5 on, values grow toward the boundary and the maximum is not polished.
-    A non-finite grid value gives (inf, inf, 1.0).
+    ``blocks(axes)`` yields (rows, values) over the ``grid_blocks`` blocks of
+    the tensor grid of the complex ``axes`` (overflow there is ignored).  Each
+    refinement level evaluates a 3 x 3 grid per coordinate in ``free`` (the
+    others stay at the best node) with half-steps first of the spacing of each
+    axis's real parts, moves to the level's best node when it is higher and
+    halves the steps otherwise, until every step is at most 1e-9 or after
+    150 * ``refine_iters`` levels.  Returns (value, err_estimate, edge_ratio):
+    err_estimate is the refinement's gain over the best grid node, not a
+    bound, and edge_ratio the largest value on the outer shell (radius >= 0.8
+    of the largest) over the overall one; from 0.5 on, values grow toward the
+    boundary and the maximum is not refined.  A non-finite grid value gives
+    (inf, inf, 1.0).
     """
     rmax = math.sqrt(sum(float(np.max(np.abs(z) ** 2)) for z in axes))
-    best, best_at, shell_max = -math.inf, None, -math.inf
     with np.errstate(over="ignore", invalid="ignore"):
-        for rows, vals in blocks:
-            vals = np.nan_to_num(vals, nan=np.inf)
-            if not np.all(np.isfinite(vals)):
-                return math.inf, math.inf, 1.0
-            zs = block_axes(axes, rows)
-            rad = np.sqrt(sum(np.abs(z) ** 2 for z in zs))
-            shell_max = max(shell_max, float(vals.max(where=rad >= 0.8 * rmax, initial=-np.inf)))
-            idx = np.unravel_index(int(np.argmax(vals)), vals.shape)
-            if vals[idx] > best:
-                best = float(vals[idx])
-                best_at = np.array([z[i] for z, i in zip([axes[0][rows], *axes[1:]], idx)])
-    edge = shell_max / best if best > 0 else 0.0
-
-    refined = best
-    if refine_iters > 0 and best > 0 and edge < 0.5:
-        free, half = list(free), len(free)
-
-        def neg_log(x):
-            z = best_at.copy()
-            z[free] = x[:half] + 1j * x[half:]
-            return -math.log(value_at(z) + 1e-300)
-
-        x0 = np.concatenate([best_at[free].real, best_at[free].imag])
-        _, fun, _ = _nelder_mead(neg_log, x0, 150 * refine_iters, 1e-9, 1e-11)
-        cand = math.exp(-float(fun))
-        if cand > refined:
-            refined = cand
+        best, best_at, shell_max = _grid_max(blocks(axes), axes, 0.8 * rmax)
+        if best == math.inf:
+            return math.inf, math.inf, 1.0
+        edge = shell_max / best if best > 0 else 0.0
+        refined, offsets = best, np.array([-1.0, 0.0, 1.0])
+        steps = {i: float(np.ptp(axes[i].real)) / (len(np.unique(axes[i].real)) - 1) / 2 for i in free}
+        for _ in range(150 * refine_iters if best > 0 and edge < 0.5 else 0):
+            if max(steps.values()) <= 1e-9:
+                break
+            local = [plane_axis(z.real + steps[i] * offsets, z.imag + steps[i] * offsets) if i in steps else
+                     np.array([z]) for i, z in enumerate(best_at)]
+            value, at, _ = _grid_max(blocks(local), local)
+            if value == math.inf:
+                return value, value, edge
+            if value > refined:
+                refined, best_at = value, at
+            else:
+                steps = {i: h / 2 for i, h in steps.items()}
     return refined, abs(refined - best), edge
 
 

@@ -30,9 +30,7 @@ evaluated with ``quad.tensor_values``.  ``ell_log_integral`` is the one
 Gauss-Hermite integral of ell: its L^r norm here, and the pullback measure of
 ``carleson``, whose density is ell^q e^{-q|phi_t|^2/2}; on the separable form
 it is one ``quad.tensor_log_sums`` over |g|^power, every other factor and
-weight entering per axis.  The Nelder-Mead polish of the sup
-search reads a separable ell one point at a time through ``_ell_point``,
-which gives ``ell_at``'s value bit for bit without its per-call work.
+weight entering per axis.
 
 ``analyze`` runs the pipeline once per problem: its ``Analysis`` computes
 each step, the verdict and the bounds at most once, when first read.
@@ -404,94 +402,6 @@ def ell_at_many(profile: EllProfile, points: np.ndarray, spec: QuadSpec | None =
     return np.exp(expo) * slice_norm_many(norm.psi_t, profile.q, pts, spec)
 
 
-def _ell_point(profile: EllProfile) -> Callable[[np.ndarray], float]:
-    """ell at one head point z (a length-s complex array) on the separable form: ``ell_at``'s value bit for bit.
-
-    numpy's loops round complex products, exp and log unlike Python's scalar
-    arithmetic, and ``z ** 2`` unlike ``np.power(z, 2)``, but alike on a long
-    array and on a short one.  So these stay numpy ufuncs, one call over the
-    terms or the axes each, with ``eval_many``'s operand order; only the real
-    adds and multiplies, which round alike, run on Python floats, in
-    ``_separable_log_ell``'s order.
-    """
-    sep = profile.separable
-    g = sep.g
-    gauss = [(a**2 - 1.0) / 2.0 for a in profile.a]
-    conj_u = np.conj(np.array(sep.u, dtype=complex))
-    if g is not None:
-        # a factor is (axis, power, None) for z_i^power or (axis, 0, f) for exp(z_i conj(f)); each term
-        # multiplies its factors in eval_many's order (per axis the power, then the exponential).  With
-        # the terms longest chain first, the terms at step j are a prefix, and the factor vector holds
-        # step j's factors as one slice.
-        chains = []
-        for t in g.terms:
-            chains.append([])
-            for i, (k, f) in enumerate(zip(t.power, t.freq)):
-                if k:
-                    chains[-1].append((i, k, None))
-                if f != 0:
-                    chains[-1].append((i, 0, f))
-        order = sorted(range(len(g.terms)), key=lambda t: -len(chains[t]))
-        widths = [sum(len(chains[t]) > j for t in order) for j in range(len(chains[order[0]]))]
-        steps = [(sum(widths[:j]), width) for j, width in enumerate(widths)]
-        slots = [chains[t][j] for j, width in enumerate(widths) for t in order[:width]]
-        coeffs = np.array([g.terms[t].coeff for t in order], dtype=complex)
-        position = [order.index(t) for t in range(len(g.terms))]
-        powers = [k for k, slot in enumerate(slots) if slot[1]]
-        exps = [k for k, slot in enumerate(slots) if not slot[1]]
-        pow_axis = np.array([slots[k][0] for k in powers], dtype=int)
-        pow_exp = np.array([slots[k][1] for k in powers], dtype=int)
-        squares = pow_exp == 2 if 2 in pow_exp else None
-        exp_axis = np.array([slots[k][0] for k in exps], dtype=int)
-        conj_f = np.conj(np.array([slots[k][2] for k in exps], dtype=complex))
-        slot_of = np.argsort(powers + exps) if powers and exps else None
-        both = np.empty(profile.s + 1, dtype=complex)
-
-    def value(z: np.ndarray) -> float:
-        if g is None:
-            mods = np.abs(z)
-        else:
-            if powers:
-                zp = z[pow_axis]
-                factors = zp**pow_exp if squares is None else np.where(squares, zp * zp, zp**pow_exp)
-            if exps:
-                e = np.exp(z[exp_axis] * conj_f)
-                factors = e if not powers else np.concatenate((factors, e))[slot_of]
-            acc = coeffs
-            for start, width in steps:
-                if width == len(acc):
-                    acc = acc * factors[start:start + width]
-                else:
-                    head = acc[:width] * factors[start:start + width]
-                    acc = acc.copy()
-                    acc[:width] = head
-            acc = acc.tolist()
-            total = 0j
-            for k in position:
-                total += acc[k]
-            both[:-1], both[-1] = z, total
-            mods = np.abs(both)
-            mods[-1] = max(mods[-1], 1e-300)
-        if mods.all():
-            logs = np.log(mods).tolist()
-        else:
-            with np.errstate(divide="ignore"):
-                logs = np.log(mods).tolist()
-        mods = mods.tolist()
-        logv = 0.0 if g is None else logs[-1]
-        for c in sep.log_const:
-            logv += c
-        drift = (z * conj_u).real.tolist()
-        for i, d in enumerate(sep.d):
-            if d:
-                logv += d * logs[i]
-            logv += gauss[i] * (mods[i] * mods[i])
-            logv += drift[i]
-        return float(np.exp(logv))
-
-    return value
-
-
 def _ell_blocks(profile: EllProfile, axes: Sequence[np.ndarray], spec: QuadSpec, where=None) -> Iterator:
     """(rows, ell) per block of the tensor grid of the complex head ``axes``.
 
@@ -523,8 +433,7 @@ def _numeric_sup(profile: EllProfile, spec: QuadSpec, radii: list[float], active
     g = _SUP_GRID.get(len(active), 7)
     lines = [np.linspace(-r, r, g) for r in radii]
     axes = [plane_axis(x, x) if i in active else np.zeros(1, dtype=complex) for i, x in enumerate(lines)]
-    value_at = _ell_point(profile) if profile.separable is not None else lambda z: ell_at(profile, z, spec)
-    return tensor_sup(_ell_blocks(profile, axes, spec), axes, active, value_at, spec.refine_iters)
+    return tensor_sup(lambda ax: _ell_blocks(profile, ax, spec), axes, active, spec.refine_iters)
 
 
 def ell_sup(profile: EllProfile, spec: QuadSpec | None = None) -> NormResult:

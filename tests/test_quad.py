@@ -416,88 +416,32 @@ def test_gh_norm_integrates_every_coordinate():
     assert abs(got.value - want.value) <= 1e-12 * want.value
 
 
-# -- the Nelder-Mead port -------------------------------------------------------
+# -- the sup search ---------------------------------------------------------------
 
 
-def _rosenbrock(x):
-    return float(np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (1.0 - x[:-1]) ** 2))
+def _bump_blocks(center, levels):
+    """tensor_sup's block stream of e^{-|z - center|^2}, appending each grid's first-axis length to ``levels``."""
+
+    def blocks(axes):
+        levels.append(len(axes[0]))
+        for rows in quad.grid_blocks([len(z) for z in axes]):
+            zs = quad.block_axes(axes, rows)
+            yield rows, np.exp(-sum(np.abs(z - c) ** 2 for z, c in zip(zs, center)))
+
+    return blocks
 
 
-def _kinked(x):
-    return float(np.sum(np.abs(x - 0.3)))
-
-
-def _flat(x):
-    return 1.0  # every comparison ties: inside contractions and shrinks only, and argsort on equal values
-
-
-def _staircase(x):
-    return float(np.sum(np.floor(4.0 * x) ** 2))  # plateaus: ties between distinct vertices
-
-
-NM_FUNCTIONS = {"rosenbrock": _rosenbrock, "kinked": _kinked, "flat": _flat, "staircase": _staircase}
-#: the last entry is 0, so the initial simplex also takes its 0.00025 step
-NM_START = [1.3, 0.7, 0.8, 1.9, 1.2, 0.0]
-
-
-def _nm_both(f, dim, maxiter):
-    """(the port's (x, fun, nfev), scipy's result) from the same start at tensor_sup's tolerances."""
-    from scipy import optimize
-
-    x0 = np.array(NM_START[-dim:])
-    ours = quad._nelder_mead(f, x0, maxiter, 1e-9, 1e-11)
-    theirs = optimize.minimize(f, x0, method="Nelder-Mead", options={"maxiter": maxiter, "xatol": 1e-9, "fatol": 1e-11})
-    return ours, theirs
-
-
-@pytest.mark.parametrize("maxiter", [20, 600])
-@pytest.mark.parametrize("dim", [2, 4, 6])
-@pytest.mark.parametrize("name", sorted(NM_FUNCTIONS))
-def test_nelder_mead_port_matches_scipy_bit_for_bit(name, dim, maxiter):
-    (x, fun, nfev), res = _nm_both(NM_FUNCTIONS[name], dim, maxiter)
-    assert x.tobytes() == res.x.tobytes()
-    assert np.float64(fun).tobytes() == np.float64(res.fun).tobytes()
-    assert nfev == res.nfev
-
-
-def test_nelder_mead_cases_reach_every_branch():
-    """The cases above run every step of the port and stop both ways; each run still matches scipy."""
-    import inspect
-    import sys
-
-    code = quad._nelder_mead.__code__
-    lines, first = inspect.getsourcelines(quad._nelder_mead)
-    hit: set[int] = set()
-
-    def trace(frame, event, arg):
-        if frame.f_code is not code:
-            return None
-
-        def line(frame, event, arg):
-            if event == "line":
-                hit.add(frame.f_lineno)
-            return line
-
-        return line
-
-    statuses = set()
-    for name, f in NM_FUNCTIONS.items():
-        for dim in (2, 4, 6):
-            for maxiter in (20, 600):
-                sys.settrace(trace)
-                try:
-                    (x, _, nfev), res = _nm_both(f, dim, maxiter)
-                finally:
-                    sys.settrace(None)
-                assert x.tobytes() == res.x.tobytes() and nfev == res.nfev
-                statuses.add(res.status)
-    ran = {lines[n - first].strip() for n in hit}
-    steps = {
-        "expansion": "fxe = f(xe)",
-        "outside contraction": "xc = (1 + psi * rho) * xbar - psi * rho * sim[-1]",
-        "inside contraction": "xc = (1 - psi) * xbar + psi * sim[-1]",
-        "shrink": "sim[j] = sim[0] + sigma * (sim[j] - sim[0])",
-        "convergence": "break",
-    }
-    assert not [step for step, text in steps.items() if text not in ran]
-    assert statuses == {0, 2}  # converged, and stopped at maxiter
+def test_tensor_sup_refines_the_best_node_to_an_off_grid_maximum():
+    xs = np.linspace(-3.0, 3.0, 15)
+    axes = [quad.plane_axis(xs, xs), np.zeros(1, dtype=complex)]
+    # largest at 0.31 - 0.17i on the free axis, between its nodes; the fixed axis stays at 0, 0.5 off its peak
+    levels = []
+    value, err, edge = quad.tensor_sup(_bump_blocks([0.31 - 0.17j, 0.5], levels), axes, [0], 1)
+    assert value == pytest.approx(math.exp(-0.25), rel=1e-15) and edge < 0.5
+    assert levels[0] == 15**2 and set(levels[1:]) == {9} and 30 < len(levels) <= 151
+    grid, zero, _ = quad.tensor_sup(_bump_blocks([0.31 - 0.17j, 0.5], []), axes, [0], 0)
+    assert grid < 0.99 * value and zero == 0.0 and err == value - grid
+    # growth toward the boundary: the grid's best node stands
+    levels = []
+    _, err, edge = quad.tensor_sup(_bump_blocks([5.0 + 5.0j, 0.0], levels), axes, [0], 1)
+    assert edge >= 0.5 and err == 0.0 and levels == [15**2]

@@ -4,9 +4,9 @@ No module imports an underscore name from another fockop module, no function
 body imports a fockop module (a lazy import is how a cycle hides), and the
 imports between fockop modules form no cycle; scipy is imported only inside
 the functions that call it, so importing fockop and running a closed-form
-command, or the numeric sup search, loads numpy alone, and no module imports
-``scipy.optimize``; the package exports names, not modules; only
-``quad`` builds meshgrids or runs a local optimizer; only ``quad`` evaluates
+command, or the numeric sup search, loads numpy alone, and nothing in the
+repository imports ``scipy.optimize``; the package exports names, not modules;
+only ``quad`` builds meshgrids or runs the sup search; only ``quad`` evaluates
 slice norms, which ``wco`` calls in one batch, and only the two stack grid
 points; and every quadrature setting is one problem-file key and one report
 field.
@@ -135,23 +135,28 @@ def test_closed_form_commands_run_cold_without_scipy(command):
 
 @pytest.mark.parametrize("command", ["classify", "bounds", "essnorm"])
 def test_numeric_sup_runs_cold_without_scipy(command):
-    """Corpus 14's several frequencies take the grid search and its Nelder-Mead polish, which need no scipy."""
+    """Corpus 14's several frequencies take the grid search (17^2 nodes on its one active coordinate) and then
+    its refinement levels (3 x 3 nodes each), once per command, which need no scipy."""
     code = (
-        "import sys; from fockop import cli, quad; polish, calls = quad._nelder_mead, []; "
-        "quad._nelder_mead = lambda *args: calls.append(1) or polish(*args); rc = cli.main(sys.argv[1:]); "
-        f"sys.stderr.write(repr((len(calls), {_SCIPY_LOADED}))); sys.exit(rc)"
+        "import sys; from fockop import cli, wco; sup, levels = wco.tensor_sup, []; "
+        "wco.tensor_sup = lambda blocks, *args: sup(lambda axes: levels.append(len(axes[0])) or blocks(axes), *args); "
+        f"rc = cli.main(sys.argv[1:]); sys.stderr.write(repr((levels, {_SCIPY_LOADED}))); sys.exit(rc)"
     )
     r = subprocess.run(
         [sys.executable, "-c", code, command, str(corpus_path("14_two_frequencies"))], capture_output=True, text=True
     )
     assert r.returncode == 0, r.stderr
     assert r.stdout.startswith("{")
-    assert r.stderr == "(1, [])"
+    levels, loaded = ast.literal_eval(r.stderr)
+    assert loaded == []
+    assert levels[0] == 17**2 and len(levels) > 30 and set(levels[1:]) == {9}
 
 
 def test_no_module_imports_scipy_optimize():
+    """No module of the package, the tests or the benchmark loads scipy.optimize."""
     bad = []
-    for path in sorted(SRC.glob("*.py")):
+    root = SRC.parent.parent
+    for path in sorted([*SRC.glob("*.py"), *(root / "tests").glob("*.py"), *(root / "perfbench").glob("*.py")]):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if isinstance(node, ast.ImportFrom):
                 names = [node.module or ""] + [f"{node.module}.{alias.name}" for alias in node.names]
@@ -211,8 +216,8 @@ def test_package_exports_no_modules():
 
 
 def test_grid_order_and_sup_search_live_in_quad():
-    """Only quad builds meshgrids and runs the local sup search (its Nelder-Mead port), so point order and
-    polish have one home."""
+    """Only quad builds meshgrids and runs the sup search, so point order and its refinement have one home;
+    no module calls a local optimizer."""
     bad = []
     for path in sorted(SRC.glob("*.py")):
         if path.name == "quad.py":
@@ -223,7 +228,7 @@ def test_grid_order_and_sup_search_live_in_quad():
                 names = [node.attr]
             elif isinstance(node, ast.ImportFrom):
                 names = [alias.name for alias in node.names]
-            refused = ("meshgrid", "minimize", "_nelder_mead")
+            refused = ("meshgrid", "minimize")
             bad += [f"{path.name}:{node.lineno} uses {name}" for name in names if name in refused]
     assert not bad, bad
 
@@ -241,6 +246,8 @@ _EVALUATOR_HOMES = {
     "_gh_sum": set(),
     "_integrand_blocks": set(),
     "_separable_log_integral": set(),
+    "_nelder_mead": set(),
+    "_ell_point": set(),
 }
 
 
