@@ -33,6 +33,7 @@ import numpy as np
 from .errors import DimensionError, DomainError
 from .funcspace import ExpPoly, apply_wco, kernel, monomial, multiply, normalized_kernel
 from .quad import DEFAULT_SPEC, QuadSpec, f2_gram, f2_inner, fock_norm
+from .special import gamma_p
 from .wco import WcoProblem
 
 __all__ = [
@@ -267,30 +268,25 @@ def _kernel_tail_quotients(problem: WcoProblem, N: int) -> tuple[np.ndarray, np.
     of relative size 2u), and 2 per term for the two contractions.  As for a
     given symbol, the coefficients are the computed ones.  A probe counts as
     sqrt(S - delta), the lower end of its rounding interval, over
-    sqrt(P(N + 1, |w|^2)).  Returns the probe points, their quotients and their
-    floors sqrt(delta) / sqrt(P(N + 1, |w|^2)), the largest quotient rounding
-    alone can give, over the probes whose denominator is nonzero and whose
-    form fits a double.
+    sqrt(P(N + 1, |w|^2)), all P from one ``special.gamma_p`` call.  Returns
+    the probe points, their quotients and their floors
+    sqrt(delta) / sqrt(P(N + 1, |w|^2)), the largest quotient rounding alone
+    can give, over the probes whose denominator is nonzero and whose form fits
+    a double.
     """
-    from scipy.special import gammainc  # imported here: loading it dominates start-up time
-
     n = problem.n
-    points, denoms = [], []
-    for r in _KERNEL_RADII:
-        for d in _probe_directions(n):
-            w = r * d
-            # ||(I - P_N) k_w||^2 = 1 - e^{-|w|^2} sum_{k <= N} |w|^(2k) / k!
-            #                    = P(N + 1, |w|^2), the regularized incomplete gamma
-            denom = math.sqrt(gammainc(N + 1, float(np.sum(np.abs(w) ** 2))))
-            if denom > 0.0:
-                points.append(w)
-                denoms.append(denom)
-    if not points:
+    w = np.array([r * d for r in _KERNEL_RADII for d in _probe_directions(n)])
+    # ||(I - P_N) k_w||^2 = 1 - e^{-|w|^2} sum_{k <= N} |w|^(2k) / k!
+    #                    = P(N + 1, |w|^2), the regularized incomplete gamma
+    square_w = np.sum(np.abs(w) ** 2, axis=1)
+    denom = np.sqrt(gamma_p(N + 1, square_w))
+    kept = denom > 0.0
+    if not kept.any():
         return np.zeros((0, n), dtype=complex), np.zeros(0), np.zeros(0)
-    w = np.array(points)
+    w, denom = w[kept], denom[kept]
     v = w @ problem.phi.A.conj()  # rows A* w
     beta = w.conj() @ problem.phi.b
-    s = np.exp(-0.5 * np.sum(np.abs(w) ** 2, axis=1))
+    s = np.exp(-0.5 * square_w[kept])
     probes = len(w)
 
     psi = problem.psi.terms
@@ -337,7 +333,6 @@ def _kernel_tail_quotients(problem: WcoProblem, N: int) -> tuple[np.ndarray, np.
     chain = n * (2 * int(powers.max()) + 13) + 2 * live.sum(axis=0) + 2 + np.ceil(4.0 * top_freq**2)
     unit = np.finfo(float).eps / 2.0
     delta = chain * unit / (1.0 - chain * unit) * absolute**2
-    denom = np.array(denoms)
     ok = np.isfinite(square) & np.isfinite(delta)
     return w[ok], np.sqrt(np.maximum(square - delta, 0.0))[ok] / denom[ok], np.sqrt(delta[ok]) / denom[ok]
 

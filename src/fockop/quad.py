@@ -43,6 +43,7 @@ import numpy as np
 from .errors import DimensionError, DomainError
 from .funcspace import COEFF_DROP_TOL, FREQ_MERGE_TOL, ExpPoly, slice_head
 from .linalg import as_cvector
+from .special import log_hyp1f1
 
 __all__ = ["QuadSpec", "NormResult", "f2_gram", "f2_inner", "fock_norm", "grid_blocks", "slice_norm",
            "slice_norm_many", "tensor_log_sums", "tensor_sup", "tensor_values"]
@@ -106,13 +107,13 @@ def single_term_norm(coeff: complex, power: tuple[int, ...], freq: tuple[complex
 
     Per coordinate the integral is a Gaussian radial moment:
         (p/2pi) int |z|^(p a) e^{p Re(z conj(c)) - p|z|^2/2} dA
-      = Gamma(pa/2 + 1) * 1F1(pa/2 + 1; 1; p|c|^2/2) * (p/2)^(-pa/2).
+      = Gamma(pa/2 + 1) * 1F1(pa/2 + 1; 1; p|c|^2/2) * (p/2)^(-pa/2),
+    whose log is summed from ``math.lgamma`` and ``special.log_hyp1f1``, so a
+    factor past the double range does not overflow before the p-th root.
     """
-    log_total = math.log(abs(coeff)) if coeff != 0 else -math.inf
     if coeff == 0:
         return 0.0
-    if any(power):
-        from scipy.special import gamma, hyp1f1  # imported here: loading it dominates start-up time
+    log_total = math.log(abs(coeff))
     for a, c in zip(power, freq):
         m = p * a
         x = p * (abs(c) ** 2) / 2.0
@@ -120,10 +121,17 @@ def single_term_norm(coeff: complex, power: tuple[int, ...], freq: tuple[complex
             # 1F1(1;1;x) = e^x, so the factor is exactly e^x
             log_factor = x
         else:
-            val = gamma(m / 2.0 + 1.0) * hyp1f1(m / 2.0 + 1.0, 1.0, x) * (p / 2.0) ** (-m / 2.0)
-            log_factor = math.log(val)
+            log_factor = math.lgamma(m / 2.0 + 1.0) + log_hyp1f1(m / 2.0 + 1.0, x) - (m / 2.0) * math.log(p / 2.0)
         log_total += log_factor / p
-    return math.exp(log_total)
+    return exp_or_inf(log_total)
+
+
+def exp_or_inf(x: float) -> float:
+    """e^x, or inf where that leaves the double range: a norm too large for a double reads as not finite."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
 
 
 def factor_argmax(a: float, wmod: float, d: int) -> float:

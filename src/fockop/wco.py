@@ -46,10 +46,11 @@ import numpy as np
 
 from .errors import DimensionError, DomainError, UnsupportedExponentsError
 from .funcspace import AffineMap, ExpPoly, Term, compose_affine, constant
-from .linalg import as_cvector, svd
-from .quad import DEFAULT_SPEC, NormResult, QuadSpec, block_axes, factor_argmax, factor_log_max, fock_norm, grid_blocks
-from .quad import grid_points, hermite_rule, log_sum_exp, plane_axis, single_term_norm, slice_norm_many, tensor_log_sums
-from .quad import tensor_sup, tensor_values
+from .linalg import SvdTriple, as_cvector, svd
+from .quad import DEFAULT_SPEC, NormResult, QuadSpec, block_axes, exp_or_inf, factor_argmax, factor_log_max, fock_norm
+from .quad import grid_blocks, grid_points, hermite_rule, log_sum_exp, plane_axis, single_term_norm, slice_norm_many
+from .quad import tensor_log_sums, tensor_sup, tensor_values
+from .special import log_hyp1f1
 
 __all__ = [
     "WcoProblem",
@@ -217,7 +218,10 @@ class CarlesonReport:
 
 
 def admissibility(problem: WcoProblem) -> AdmissibilityReport:
-    t = svd(problem.phi.A)
+    return _admissibility(svd(problem.phi.A))
+
+
+def _admissibility(t: SvdTriple) -> AdmissibilityReport:
     s0 = float(t.sigma[0])
     if s0 > 1.0:
         return AdmissibilityReport(False, s0, f"spectral norm {s0:.12g} > 1")
@@ -228,7 +232,11 @@ def normalize_pair(psi: ExpPoly, phi: AffineMap) -> Normalization:
     """Rotate (psi, phi) into diagonal form using the canonical factorization."""
     if psi.n != phi.n:
         raise DimensionError("symbol and map must live on the same C^n")
-    t = svd(phi.A)
+    return _normalized(psi, phi, svd(phi.A))
+
+
+def _normalized(psi: ExpPoly, phi: AffineMap, t: SvdTriple) -> Normalization:
+    """(psi, phi) rotated by the factorization ``t`` of phi.A."""
     U, V = np.array(t.U, dtype=complex), np.array(t.V, dtype=complex)
     return _rotated(psi, phi, t.sigma, U, V, t.rank_s, t.raw_sigma)
 
@@ -517,11 +525,10 @@ def _closed_form_log_integral(profile: EllProfile, r: float) -> float:
     Per coordinate:
         Integral |z|^(r d) exp(-r t |z|^2 + r Re(z conj(w))) dA
       = 2 pi * Gamma(m/2+1) / (2 (r t)^(m/2+1)) * 1F1(m/2+1; 1; r|w|^2/(2(1-a^2)))
-    with m = r d and t = (1 - a^2)/2.
+    with m = r d and t = (1 - a^2)/2, taken in logs (``math.lgamma`` and
+    ``special.log_hyp1f1``), so it does not overflow.
     """
     log_total = r * math.log(profile.constant_factor)
-    if any(profile.deg):
-        from scipy.special import gamma, hyp1f1  # imported here: loading it dominates start-up time
     for a, w, d in zip(profile.a, profile.w, profile.deg):
         t = (1.0 - a * a) / 2.0
         if t <= 0.0:
@@ -531,14 +538,8 @@ def _closed_form_log_integral(profile: EllProfile, r: float) -> float:
         if d == 0:
             log_i = math.log(math.pi / (r * t)) + x
         else:
-            val = (
-                2.0
-                * math.pi
-                * gamma(m / 2.0 + 1.0)
-                / (2.0 * (r * t) ** (m / 2.0 + 1.0))
-                * hyp1f1(m / 2.0 + 1.0, 1.0, x)
-            )
-            log_i = math.log(val)
+            log_i = math.log(math.pi) + math.lgamma(m / 2.0 + 1.0) - (m / 2.0 + 1.0) * math.log(r * t)
+            log_i += log_hyp1f1(m / 2.0 + 1.0, x)
         log_total += log_i
     return log_total
 
@@ -633,7 +634,7 @@ def _lr_report(profile: EllProfile, r: float, spec: QuadSpec, member: bool) -> C
             return CarlesonReport(r, NormResult(math.inf, "closed_form", 0.0), False, CERTIFIED)
         if profile.exact_factor and spec.allow_closed_form:
             log_i = _closed_form_log_integral(profile, r)
-            return CarlesonReport(r, NormResult(math.exp(log_i / r), "closed_form", 0.0), True, CERTIFIED)
+            return CarlesonReport(r, NormResult(exp_or_inf(log_i / r), "closed_form", 0.0), True, CERTIFIED)
         log_i = _lr_log_integral(profile, r, spec)
         k = spec.resolve_nodes(profile.s)
         log_i2 = _lr_log_integral(
@@ -704,12 +705,17 @@ class Analysis:
         self.spec = spec or DEFAULT_SPEC
 
     @cached_property
+    def _factorization(self) -> SvdTriple:
+        """The one SVD of phi.A that admissibility and normalization read."""
+        return svd(self.problem.phi.A)
+
+    @cached_property
     def admissibility(self) -> AdmissibilityReport:
-        return admissibility(self.problem)
+        return _admissibility(self._factorization)
 
     @cached_property
     def normalization(self) -> Normalization:
-        return normalize(self.problem)
+        return _normalized(self.problem.psi, self.problem.phi, self._factorization)
 
     @cached_property
     def profile(self) -> EllProfile:

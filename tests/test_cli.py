@@ -3,6 +3,7 @@ import json
 import subprocess
 import sys
 
+import mpmath
 import pytest
 
 from fockop import cli, wco
@@ -272,6 +273,39 @@ def test_bounds_of_a_constant_map_whose_weight_norm_overflows_unscaled(tmp_path,
     assert bounds["upper"]["value"] == pytest.approx(want, rel=1e-9)
 
 
+def test_bounds_of_a_rank_zero_map_whose_weight_norm_leaves_gamma_times_1f1(tmp_path, capsys):
+    # A = 0, b = 0, p = q = 2: the norm is ||z e^{30 z}||_2 = sqrt(Gamma(2) 1F1(2; 1; 900)), about
+    # e^450 sqrt(901), where the product Gamma * 1F1 overflows a double but its square root does not
+    path = problem_file(tmp_path / "z.json", 1, 2.0, 2.0, [(1.0, (1,), (30.0,))], [[0.0]], [0.0])
+    assert cli.main(["bounds", str(path)]) == 0
+    bounds = json.loads(capsys.readouterr().out)["norm_bounds"]
+    want = float(mpmath.sqrt(mpmath.gamma(2) * mpmath.hyp1f1(2, 1, 900)))
+    assert want == pytest.approx(8.126045541528171e196, rel=1e-15)
+    for side in ("lower", "upper"):
+        assert bounds[side]["finite"]
+        assert bounds[side]["value"] == pytest.approx(want, rel=1e-13)
+
+
+def test_bounds_of_a_compact_operator_whose_ell_integral_leaves_gamma_times_1f1(tmp_path, capsys):
+    # n = 1, psi = z e^{20 z}, A = 0.5, p = 2 > q = 1.5: ell(z) = |z| exp(-3|z|^2/8 + 20 Re z) is in L^6
+    # (r = pq/(p - q)), and the bounds are 0.5^(1/3) and 2 times its L^6 norm; the closed form of that
+    # integral holds Gamma(4) 1F1(4; 1; 1600/3), past the double range
+    path = problem_file(tmp_path / "z.json", 1, 2.0, 1.5, [(1.0, (1,), (20.0,))], [[0.5]], [0.0])
+    assert cli.main(["bounds", str(path)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["classification"]["verdict"], doc["classification"]["mode"]) == ("compact", "certified")
+    bounds = doc["norm_bounds"]
+    with mpmath.workdps(30):
+        # the angular integral of e^{120 rho cos t} is 2 pi I_0(120 rho)
+        radial = lambda rho: rho**7 * mpmath.exp(-mpmath.mpf(9) / 4 * rho**2) * mpmath.besseli(0, 120 * rho)
+        integral = 2 * mpmath.pi * mpmath.quad(radial, [0, 20, 26, 27, 28, 34, mpmath.inf])
+        lr = integral ** (mpmath.mpf(1) / 6)
+        want = {"lower": float(mpmath.cbrt(0.5) * lr), "upper": float(2 * lr)}
+    for side in ("lower", "upper"):
+        assert bounds[side]["finite"]
+        assert bounds[side]["value"] == pytest.approx(want[side], rel=1e-12)
+
+
 # -- each quantity once ----------------------------------------------------------
 
 
@@ -291,11 +325,19 @@ def count_calls(monkeypatch, module, names):
 
 @pytest.mark.parametrize("command", ["bounds", "essnorm"])
 def test_report_normalizes_and_searches_once(monkeypatch, capsys, command):
-    counts = count_calls(monkeypatch, wco, ["_numeric_sup", "normalize_pair", "svd"])
+    counts = count_calls(monkeypatch, wco, ["_numeric_sup", "_normalized", "svd"])
     assert cli.main([command, str(corpus_path("14_two_frequencies"))]) == 0
     assert counts["_numeric_sup"] == 1
-    assert counts["normalize_pair"] == 1
-    assert counts["svd"] <= 2
+    assert counts["_normalized"] == 1
+    assert counts["svd"] == 1
+
+
+@pytest.mark.parametrize("command", ["classify", "bounds", "essnorm", "oracle"])
+@pytest.mark.parametrize("stem", ["02_contraction", "05_expanding", "13_rank_deficient_n3"])
+def test_admissibility_and_normalization_share_one_svd(monkeypatch, capsys, command, stem):
+    counts = count_calls(monkeypatch, wco, ["svd"])
+    assert cli.main([command, str(corpus_path(stem))]) == 0
+    assert counts["svd"] == 1
 
 
 def test_certified_classify_runs_no_sup_search(monkeypatch, capsys):

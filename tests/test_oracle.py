@@ -3,12 +3,12 @@ import math
 import mpmath
 import numpy as np
 import pytest
-import scipy.special
 from scipy.special import gammainc
 
 import fockop as fk
 from fockop import cli, funcspace, oracle, quad
 from fockop.funcspace import AffineMap, ExpPoly
+from fockop.special import gamma_p
 from fockop.oracle import (
     basis_indices,
     compactness_witness,
@@ -92,16 +92,16 @@ def test_kernel_tail_denominators_match_high_precision(monkeypatch):
     # each probe divides by sqrt(P(N + 1, |w|^2)); read the P values the oracle takes
     calls = []
 
-    def recording(a, x):
-        value = gammainc(a, x)
-        calls.append((a, x, float(value)))
-        return value
+    def recording(n, x):
+        values = gamma_p(n, x)
+        calls.extend((n, float(xi), float(value)) for xi, value in zip(x, values))
+        return values
 
-    monkeypatch.setattr(scipy.special, "gammainc", recording)
+    monkeypatch.setattr(oracle, "gamma_p", recording)
     truncated_essential_upper(cop(0.5, 0.3), fk.TruncationSpec(max_degree=6))
     assert len(calls) == 4 * 9  # four radii, nine probe directions in C^1
-    for a, x, value in calls:
-        want = float(mpmath.gammainc(a, 0, x, regularized=True))
+    for n, x, value in calls:
+        want = float(mpmath.gammainc(n, 0, x, regularized=True))
         assert value == pytest.approx(want, rel=1e-13)
 
 

@@ -2,10 +2,10 @@
 
 No module imports an underscore name from another fockop module, no function
 body imports a fockop module (a lazy import is how a cycle hides), and the
-imports between fockop modules form no cycle; scipy is imported only inside
-the functions that call it, so importing fockop and running a closed-form
-command, or the numeric sup search, loads numpy alone, and nothing in the
-repository imports ``scipy.optimize``; the package exports names, not modules;
+imports between fockop modules form no cycle; no module of the package
+imports scipy, so importing fockop and running any command loads numpy alone,
+and nothing in the repository imports ``scipy.optimize``; the package exports
+names, not modules;
 only ``quad`` builds meshgrids or runs the sup search; only ``quad`` evaluates
 slice norms, which ``wco`` calls in one batch, and only the two stack grid
 points; and every quadrature setting is one problem-file key and one report
@@ -101,22 +101,37 @@ def test_no_fockop_imports_inside_functions():
     assert not bad, bad
 
 
-def _module_level_imports(node):
-    """Import statements that run when the module is imported (outside every function body)."""
-    for child in ast.iter_child_nodes(node):
-        if isinstance(child, (ast.Import, ast.ImportFrom)):
-            yield child
-        elif not isinstance(child, FUNCTIONS):
-            yield from _module_level_imports(child)
-
-
-def test_no_scipy_imports_at_module_level():
+def test_no_scipy_imports_in_src():
+    """scipy is a test dependency only: no module of the package imports it, not even inside a function."""
     bad = []
     for path in sorted(SRC.glob("*.py")):
-        for node in _module_level_imports(ast.parse(path.read_text(), filename=str(path))):
-            names = [node.module or ""] if isinstance(node, ast.ImportFrom) else [a.name for a in node.names]
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
             bad += [f"{path.name}:{node.lineno} imports {name}" for name in names if name.split(".")[0] == "scipy"]
     assert not bad, bad
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["oracle", "04_unit_shift"], ["verify", "01_identity", "--suite", "lemmas", "--lemma-count", "4"]],
+    ids=["oracle", "verify-lemmas"],
+)
+def test_oracle_and_verify_run_cold_without_scipy(argv):
+    """The kernel tails' incomplete gamma and the lemmas' closed-form norms, Gamma * 1F1, load no scipy."""
+    code = (
+        "import sys; from fockop import cli; rc = cli.main(sys.argv[1:]); "
+        f"sys.stderr.write(repr({_SCIPY_LOADED})); sys.exit(rc)"
+    )
+    command, stem, *rest = argv
+    r = subprocess.run([sys.executable, "-c", code, command, str(corpus_path(stem)), *rest], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout
+    assert r.stderr == "[]"
 
 
 @pytest.mark.parametrize("command", ["classify", "bounds", "essnorm"])
