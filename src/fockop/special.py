@@ -5,9 +5,9 @@ hypergeometric function of the Gaussian radial moments (``quad`` and ``wco``),
 and ``gamma_p`` the regularized lower incomplete gamma P(n, x) at integer order,
 the squared norm of a kernel's tail past degree n - 1 (``oracle``).  On these
 ranges both are series of positive terms (DLMF 13.2.2 with Kummer's
-transformation 13.2.39, and DLMF 8.4.10), so they are summed with no
-cancellation; 1F1 is kept in logs, so it does not overflow where it leaves the
-double range.
+transformation 13.2.39, the large-x expansion 13.7.2, and DLMF 8.4.10), so they
+are summed with no cancellation; 1F1 is kept in logs, so it does not overflow
+where it leaves the double range, and its work is bounded by a, not by x.
 """
 from __future__ import annotations
 
@@ -22,18 +22,47 @@ _EPS = 2.0 ** -60
 #: a partial sum above _BIG is scaled by 1 / _BIG, which is exact
 _BIG = 2.0 ** 600
 _LOG_BIG = 600 * math.log(2.0)
+#: from max(_LARGE_X, a) on, log_hyp1f1 takes the large-x expansion, whose left-out e^-x is below 2^-60
+_LARGE_X = 64.0
+
+
+def _log_large_x_sum(a: float, x: float) -> float:
+    """log sum_s ((1 - a)_s)^2 / (s! x^s), the series of DLMF 13.7.2 at b = 1, for x >= max(64, a).
+
+    Every term is positive.  The term ratios (s + 1 - a)^2 / ((s + 1) x) fall
+    until s = a - 1 and stay below 1 from there to s = x, so the sum stops, as
+    ``log_hyp1f1``'s series does, once the geometric bound on the rest is below
+    2^-60 of it, after fewer than a + 12 terms whatever x is; for an integer a
+    it is finite and exact.
+    """
+    term = total = 1.0
+    scalings = 0
+    s = 0
+    while True:
+        ratio = (s + 1.0 - a) ** 2 / ((s + 1.0) * x)
+        if ratio < 1.0 and term * ratio <= (1.0 - ratio) * total * _EPS:
+            return math.log(total) + scalings * _LOG_BIG
+        term *= ratio
+        total += term
+        s += 1
+        if total > _BIG:
+            term, total, scalings = term / _BIG, total / _BIG, scalings + 1
 
 
 def log_hyp1f1(a: float, x: float) -> float:
     """log 1F1(a; 1; x) for a >= 1 and x >= 0.
 
-    When a - 1 is an integer n, Kummer's transformation makes it the finite
-    sum e^x sum_{k <= n} C(n, k) x^k / k!; otherwise it is the series
+    For x >= max(64, a) it is x + (a - 1) log x - log Gamma(a) plus the log of
+    the large-x series (``_log_large_x_sum``).  Below that, when a - 1 is an
+    integer n, Kummer's transformation makes it the finite sum
+    e^x sum_{k <= n} C(n, k) x^k / k!; otherwise it is the series
     sum_k (a)_k x^k / (k!)^2, whose term ratios (a + k) x / (k + 1)^2 fall with
     k, so it stops once the geometric bound on the rest is below 2^-60 of the
-    sum.  Every term is positive, and the partial sums are rescaled by 2^-600
-    when they grow past 2^600.
+    sum, after about max(x, sqrt(a x)) terms.  Every term is positive, and the
+    partial sums are rescaled by 2^-600 when they grow past 2^600.
     """
+    if x >= _LARGE_X and x >= a:
+        return x + (a - 1.0) * math.log(x) - math.lgamma(a) + _log_large_x_sum(a, x)
     n = float(a) - 1.0
     term = total = 1.0
     scalings = 0

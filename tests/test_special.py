@@ -14,7 +14,7 @@ _X = [0.0, 1e-3, 0.5, 1.0, 2.5, 10.0, 37.5, 100.0, 333.3, 1000.0]
 
 def _mp_log_hyp1f1(a, x):
     with mpmath.workdps(40):
-        return float(mpmath.log(mpmath.hyp1f1(a, 1, x)))
+        return float(mpmath.log(mpmath.hyp1f1(a, 1, x, maxterms=10**6)))
 
 
 @pytest.mark.parametrize("a", _A_INTEGERS + _A_FRACTIONS)
@@ -24,11 +24,13 @@ def test_log_hyp1f1_matches_high_precision(a):
         assert abs(log_hyp1f1(a, x) - want) <= 1e-15 * max(1.0, abs(want)), (a, x)
 
 
-@pytest.mark.parametrize("a", [1.0, 1.5, 7.0, 7.3, 31.0])
-def test_log_hyp1f1_past_the_double_range(a):
-    # 1F1(a; 1; 1e5) is about e^100000, which no double holds
-    want = _mp_log_hyp1f1(a, 1e5)
-    assert abs(log_hyp1f1(a, 1e5) - want) <= 1e-15 * want
+@pytest.mark.parametrize("a", [1.0, 1.5, 2.5, 7.0, 7.3, 31.0, 250.25, 1000.5])
+@pytest.mark.parametrize("x", [64.0, 1e3, 1e5, 1e12, 1e200])
+def test_log_hyp1f1_past_the_double_range(a, x):
+    # 1F1(a; 1; 1e5) is about e^100000, which no double holds; from x = max(64, a) on, the large-x series
+    # stops after fewer than a + 12 terms, where the power series would run for about x terms
+    want = _mp_log_hyp1f1(a, x)
+    assert abs(log_hyp1f1(a, x) - want) <= 1e-15 * max(1.0, abs(want)), (a, x)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 7, 11, 17, 31, 60, 100, 150, 171])

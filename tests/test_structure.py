@@ -118,31 +118,23 @@ def test_no_scipy_imports_in_src():
 
 @pytest.mark.parametrize(
     "argv",
-    [["oracle", "04_unit_shift"], ["verify", "01_identity", "--suite", "lemmas", "--lemma-count", "4"]],
-    ids=["oracle", "verify-lemmas"],
+    [
+        ["classify", "06_kernel_weight"],
+        ["bounds", "06_kernel_weight"],
+        ["essnorm", "06_kernel_weight"],
+        ["oracle", "04_unit_shift"],
+        ["verify", "01_identity", "--suite", "lemmas", "--lemma-count", "4"],
+    ],
+    ids=["classify", "bounds", "essnorm", "oracle", "verify-lemmas"],
 )
-def test_oracle_and_verify_run_cold_without_scipy(argv):
-    """The kernel tails' incomplete gamma and the lemmas' closed-form norms, Gamma * 1F1, load no scipy."""
+def test_closed_form_commands_run_cold_without_scipy(argv):
+    """The closed-form norms, Gamma * 1F1, and the kernel tails' incomplete gamma load no scipy."""
     code = (
         "import sys; from fockop import cli; rc = cli.main(sys.argv[1:]); "
         f"sys.stderr.write(repr({_SCIPY_LOADED})); sys.exit(rc)"
     )
     command, stem, *rest = argv
     r = subprocess.run([sys.executable, "-c", code, command, str(corpus_path(stem)), *rest], capture_output=True, text=True)
-    assert r.returncode == 0, r.stderr
-    assert r.stdout
-    assert r.stderr == "[]"
-
-
-@pytest.mark.parametrize("command", ["classify", "bounds", "essnorm"])
-def test_closed_form_commands_run_cold_without_scipy(command):
-    code = (
-        "import sys; from fockop import cli; rc = cli.main(sys.argv[1:]); "
-        f"sys.stderr.write(repr({_SCIPY_LOADED})); sys.exit(rc)"
-    )
-    r = subprocess.run(
-        [sys.executable, "-c", code, command, str(corpus_path("06_kernel_weight"))], capture_output=True, text=True
-    )
     assert r.returncode == 0, r.stderr
     assert r.stdout.startswith("{")
     assert r.stderr == "[]"
