@@ -28,8 +28,10 @@ rounding), evaluates the rest block by block from per-axis factor tables as
 the double range.  ``grid_points`` stacks a block's points for the
 slice-norm fallback of ell in ``wco``, the one integrand that is not
 separable.  ``tensor_sup`` is the one maximizer: a grid search, refined by
-the same search on 3 x 3 grids per coordinate with shrinking steps around the
-best node, each level one batched evaluation.
+the same search on 3 x 3 grids per coordinate around the best node, each level
+one batched evaluation.  Where the centre of such a stencil stays highest, a
+quadratic model of the log fitted to the stencil sets the next steps (a
+Newton step) if it is concave, and the steps are halved otherwise.
 """
 from __future__ import annotations
 
@@ -634,7 +636,6 @@ def _grid_max(blocks: Iterable, axes: Sequence[np.ndarray], shell: float | None 
     """
     best, best_at, shell_max = -math.inf, None, -math.inf
     for rows, vals in blocks:
-        vals = np.nan_to_num(vals, nan=np.inf)
         if not np.all(np.isfinite(vals)):
             return math.inf, None, math.inf
         if shell is not None:
@@ -647,42 +648,78 @@ def _grid_max(blocks: Iterable, axes: Sequence[np.ndarray], shell: float | None 
     return best, best_at, shell_max
 
 
+def _model_steps(values: np.ndarray, steps: np.ndarray) -> np.ndarray | None:
+    """The next steps from a quadratic model of log ``values`` on a stencil whose centre is highest, or None.
+
+    ``values`` is a level's grid, 3 x 3 nodes per free coordinate, and
+    ``steps`` its (free coordinates, 2) real and imaginary steps.  The model
+    takes the gradient and the full Hessian, mixed terms included, by central
+    differences.  Where it is finite and concave and its maximizer lies inside
+    the stencil, the next steps are the maximizer's offsets per real axis,
+    clipped to [h/64, h/2]; otherwise None.
+    """
+    h = steps.ravel()
+    dim = len(h)
+    logs = np.log(values.reshape((3,) * dim))
+    grad, hess = np.empty(dim), np.empty((dim, dim))
+    for k in range(dim):
+        line = logs[tuple(slice(None) if j == k else 1 for j in range(dim))]
+        grad[k] = (line[2] - line[0]) / (2.0 * h[k])
+        hess[k, k] = (line[2] - 2.0 * line[1] + line[0]) / h[k] ** 2
+        for m in range(k + 1, dim):
+            sq = logs[tuple(slice(None) if j in (k, m) else 1 for j in range(dim))]
+            hess[k, m] = hess[m, k] = (sq[2, 2] - sq[2, 0] - sq[0, 2] + sq[0, 0]) / (4.0 * h[k] * h[m])
+    if not (np.all(np.isfinite(grad)) and np.all(np.isfinite(hess))) or np.linalg.eigvalsh(hess).max() >= 0.0:
+        return None
+    offsets = np.abs(np.linalg.solve(hess, grad))
+    if np.any(offsets > h):
+        return None
+    return np.clip(offsets, h / 64.0, h / 2.0).reshape(steps.shape)
+
+
 def tensor_sup(blocks: Callable, axes: Sequence[np.ndarray], free: Sequence[int], refine_iters: int):
     """Largest value on a tensor grid, refined by the same search on shrinking grids around the best node.
 
     ``blocks(axes)`` yields (rows, values) over the ``grid_blocks`` blocks of
     the tensor grid of the complex ``axes`` (overflow there is ignored).  Each
     refinement level evaluates a 3 x 3 grid per coordinate in ``free`` (the
-    others stay at the best node) with half-steps first of the spacing of each
-    axis's real parts, moves to the level's best node when it is higher and
-    halves the steps otherwise, until every step is at most 1e-9 or after
-    150 * ``refine_iters`` levels.  Returns (value, err_estimate, edge_ratio):
-    err_estimate is the refinement's gain over the best grid node, not a
-    bound, and edge_ratio the largest value on the outer shell (radius >= 0.8
-    of the largest) over the overall one; from 0.5 on, values grow toward the
-    boundary and the maximum is not refined.  A non-finite grid value gives
-    (inf, inf, 1.0).
+    others stay at the best node), with steps kept per real axis, half the
+    spacing of each axis's real parts at first.  It moves to the level's best
+    node when that is higher.  Otherwise ``_model_steps`` sets the next steps
+    by a Newton step, so that the next stencil holds the model's maximizer,
+    and where the model fails they halve.  The search stops when every step
+    is at most 1e-9 or after 150 * ``refine_iters`` levels.  Returns (value,
+    err_estimate, edge_ratio): err_estimate is the refinement's gain over the
+    best grid node, not a bound, and edge_ratio the largest value on the
+    outer shell (radius >= 0.8 of the largest) over the overall one; from 0.5
+    on, values grow toward the boundary and the maximum is not refined.  A
+    non-finite grid value gives (inf, inf, 1.0), a non-finite refinement
+    value (inf, inf, edge_ratio).
     """
     rmax = math.sqrt(sum(float(np.max(np.abs(z) ** 2)) for z in axes))
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         best, best_at, shell_max = _grid_max(blocks(axes), axes, 0.8 * rmax)
         if best == math.inf:
             return math.inf, math.inf, 1.0
         edge = shell_max / best if best > 0 else 0.0
-        refined, offsets = best, np.array([-1.0, 0.0, 1.0])
-        steps = {i: float(np.ptp(axes[i].real)) / (len(np.unique(axes[i].real)) - 1) / 2 for i in free}
+        refined, offsets, free = best, np.array([-1.0, 0.0, 1.0]), sorted(free)
+        spacing = [float(np.ptp(axes[i].real)) / (len(np.unique(axes[i].real)) - 1) / 2 for i in free]
+        steps = np.repeat(np.array(spacing)[:, None], 2, axis=1)
         for _ in range(150 * refine_iters if best > 0 and edge < 0.5 else 0):
-            if max(steps.values()) <= 1e-9:
+            if steps.max() <= 1e-9:
                 break
-            local = [plane_axis(z.real + steps[i] * offsets, z.imag + steps[i] * offsets) if i in steps else
-                     np.array([z]) for i, z in enumerate(best_at)]
-            value, at, _ = _grid_max(blocks(local), local)
+            local = [np.array([z]) for z in best_at]
+            for i, (hx, hy) in zip(free, steps):
+                local[i] = plane_axis(best_at[i].real + hx * offsets, best_at[i].imag + hy * offsets)
+            level = list(blocks(local))
+            value, at, _ = _grid_max(level, local)
             if value == math.inf:
                 return value, value, edge
             if value > refined:
                 refined, best_at = value, at
             else:
-                steps = {i: h / 2 for i, h in steps.items()}
+                model = _model_steps(np.concatenate([vals for _, vals in level]), steps)
+                steps = steps / 2 if model is None else model
     return refined, abs(refined - best), edge
 
 

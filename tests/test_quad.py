@@ -419,16 +419,20 @@ def test_gh_norm_integrates_every_coordinate():
 # -- the sup search ---------------------------------------------------------------
 
 
-def _bump_blocks(center, levels):
-    """tensor_sup's block stream of e^{-|z - center|^2}, appending each grid's first-axis length to ``levels``."""
+def _sup_blocks(value_at, levels):
+    """tensor_sup's block stream of ``value_at(block_axes)``, appending each grid's point count to ``levels``."""
 
     def blocks(axes):
-        levels.append(len(axes[0]))
+        levels.append(math.prod(len(z) for z in axes))
         for rows in quad.grid_blocks([len(z) for z in axes]):
-            zs = quad.block_axes(axes, rows)
-            yield rows, np.exp(-sum(np.abs(z - c) ** 2 for z, c in zip(zs, center)))
+            yield rows, value_at(quad.block_axes(axes, rows))
 
     return blocks
+
+
+def _bump_blocks(center, levels):
+    """tensor_sup's block stream of e^{-|z - center|^2}."""
+    return _sup_blocks(lambda zs: np.exp(-sum(np.abs(z - c) ** 2 for z, c in zip(zs, center))), levels)
 
 
 def test_tensor_sup_refines_the_best_node_to_an_off_grid_maximum():
@@ -438,10 +442,71 @@ def test_tensor_sup_refines_the_best_node_to_an_off_grid_maximum():
     levels = []
     value, err, edge = quad.tensor_sup(_bump_blocks([0.31 - 0.17j, 0.5], levels), axes, [0], 1)
     assert value == pytest.approx(math.exp(-0.25), rel=1e-15) and edge < 0.5
-    assert levels[0] == 15**2 and set(levels[1:]) == {9} and 30 < len(levels) <= 151
+    assert levels[0] == 15**2 and set(levels[1:]) == {9} and len(levels) <= 15
     grid, zero, _ = quad.tensor_sup(_bump_blocks([0.31 - 0.17j, 0.5], []), axes, [0], 0)
     assert grid < 0.99 * value and zero == 0.0 and err == value - grid
     # growth toward the boundary: the grid's best node stands
     levels = []
     _, err, edge = quad.tensor_sup(_bump_blocks([5.0 + 5.0j, 0.0], levels), axes, [0], 1)
     assert edge >= 0.5 and err == 0.0 and levels == [15**2]
+
+
+def test_tensor_sup_finds_a_coupled_anisotropic_peak_on_two_coordinates():
+    # 2.5 e^{-(x - c)^T Q (x - c) / 2} over x = (Re z0, Im z0, Re z1, Im z1), Q with eigenvalues 0.1 to 10 in a
+    # seeded rotated frame, so that every real axis is coupled to every other
+    rotation = np.linalg.qr(np.random.default_rng(3).normal(size=(4, 4)))[0]
+    Q = rotation @ np.diag([0.1, 0.4, 2.5, 10.0]) @ rotation.T
+    c = [0.31, -0.17, -0.52, 0.23]
+
+    def value_at(zs):
+        x = [zs[0].real - c[0], zs[0].imag - c[1], zs[1].real - c[2], zs[1].imag - c[3]]
+        return 2.5 * np.exp(-sum(Q[k, m] * x[k] * x[m] for k in range(4) for m in range(4)) / 2.0)
+
+    xs = np.linspace(-3.0, 3.0, 15)
+    levels = []
+    value, _, edge = quad.tensor_sup(_sup_blocks(value_at, levels), [quad.plane_axis(xs, xs)] * 2, [0, 1], 1)
+    assert value == pytest.approx(2.5, rel=1e-15) and edge < 0.5
+    assert levels[0] == 15**4 and set(levels[1:]) == {81} and len(levels) <= 20
+
+
+def test_tensor_sup_halves_the_steps_where_the_model_is_not_concave(monkeypatch):
+    # |z - z0| e^{-|z - c|^2} with z0 next to the bump's centre c, d = |c - z0| apart: the peak lies on a ridge
+    # around z0 that is all but flat along the circle, at r = (d + sqrt(d^2 + 2)) / 2 from z0 on the ray
+    # through c, with the value r e^{-(r - d)^2}
+    c, z0 = 0.31 - 0.17j, 0.30 - 0.16j
+    d = abs(c - z0)
+    r = (d + math.sqrt(d * d + 2.0)) / 2.0
+    model, concave = quad._model_steps, []
+
+    def counted(values, steps):
+        out = model(values, steps)
+        concave.append(out is not None)
+        return out
+
+    monkeypatch.setattr(quad, "_model_steps", counted)
+    xs = np.linspace(-3.0, 3.0, 15)
+    levels = []
+    blocks = _sup_blocks(lambda zs: np.abs(zs[0] - z0) * np.exp(-np.abs(zs[0] - c) ** 2), levels)
+    value, _, _ = quad.tensor_sup(blocks, [quad.plane_axis(xs, xs)], [0], 1)
+    assert value == pytest.approx(r * math.exp(-((r - d) ** 2)), rel=1e-12)
+    assert not all(concave) and set(levels[1:]) == {9}
+
+
+def test_tensor_sup_reads_an_overflowing_value_as_infinite():
+    xs = np.linspace(-3.0, 3.0, 15)
+    axes = [quad.plane_axis(xs, xs)]
+
+    def overflowing_bump(center):
+        # e^{-|z - center|^2}, but overflowing within 0.05 of its peak
+        return lambda zs: np.where(np.abs(zs[0] - center) < 0.05, np.inf, np.exp(-np.abs(zs[0] - center) ** 2))
+
+    # between the grid's nodes the refinement meets the overflow: the edge ratio stays the grid's
+    bump = overflowing_bump(0.31 - 0.17j)
+    _, _, edge = quad.tensor_sup(_sup_blocks(bump, []), axes, [0], 0)
+    levels = []
+    assert quad.tensor_sup(_sup_blocks(bump, levels), axes, [0], 1) == (math.inf, math.inf, edge)
+    assert edge < 0.5 and len(levels) > 1
+    # on a grid node the grid search meets it
+    levels = []
+    assert quad.tensor_sup(_sup_blocks(overflowing_bump(3.0 / 7.0), levels), axes, [0], 1) == (math.inf, math.inf, 1.0)
+    assert levels == [15**2]

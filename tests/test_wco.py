@@ -226,7 +226,20 @@ def _two_frequencies_rank2():
     return WcoProblem(ExpPoly(2, terms), _rotated_map([0.6, 0.45], 11), 2.0, 2.0)
 
 
-#: corpus 14 and one problem of each numeric family of the benchmark's analyze workload
+def _two_frames(seed, weight, p, q, rotate_weight=True):
+    """The shape of the benchmark's generated n = 2 numeric problems, restated: A = V diag(0.6, 0.45) U and
+    b = V b_t with |b_t| = (0.25, 0.25) for seeded unitaries V and U (U = I without ``rotate_weight``), and
+    ``weight`` terms (coeff, power, f_t) whose frequencies become U^* f_t."""
+    rng = np.random.default_rng(seed)
+    unitary = lambda: np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0]  # noqa: E731
+    V = unitary()
+    U = unitary() if rotate_weight else np.eye(2)
+    b_t = 0.25 * np.exp(2j * np.pi * rng.random(2))
+    terms = tuple(Term(coeff, power, tuple(U.conj().T @ np.array(f_t))) for coeff, power, f_t in weight)
+    return WcoProblem(ExpPoly(2, terms), AffineMap(V @ np.diag([0.6, 0.45]) @ U, V @ b_t), p, q)
+
+
+#: corpus 14 and problems shaped like each numeric family of the benchmark's analyze workload
 SUP_CASES = {
     "corpus-14": lambda: cli.load_problem(corpus_path("14_two_frequencies")).problem,
     "multi-frequency": _two_frequencies_rank2,
@@ -236,6 +249,18 @@ SUP_CASES = {
         AffineMap(np.diag([0.6, 0.45]), [0.2, -0.1j]),
         4.0,
         2.0,
+    ),
+    # two weight frequencies in a frame of their own and a drift: two free head coordinates
+    "multi-frequency-two-frames": lambda: _two_frames(
+        20, [(0.3 + 0.95j, (0, 0), (0.4 + 0.3j, -0.3j)), (-0.7j, (0, 0), (-0.2, 0.36 - 0.48j))], 2.0, 2.0
+    ),
+    # (c0 + c1 z1) e^{<z, f>} with q < p, rotated by V alone: certified, the sup by the numeric search
+    "small-target-numeric-rotated": lambda: _two_frames(
+        21,
+        [(0.8 - 0.6j, (0, 0), (0.18 + 0.24j, -0.3j)), (0.5j, (1, 0), (0.18 + 0.24j, -0.3j))],
+        4.0,
+        2.0,
+        rotate_weight=False,
     ),
 }
 
