@@ -184,6 +184,15 @@ def _seeded_symbol(rng, n, terms, max_power):
     ))
 
 
+@pytest.mark.parametrize("n, max_degree", [(1, 0), (1, 6), (2, 7), (3, 16), (4, 5), (6, 3), (9, 2)])
+def test_raised_positions_match_the_basis_lookup(n, max_degree):
+    idx = basis_indices(n, max_degree)
+    pos = {alpha: k for k, alpha in enumerate(idx)}
+    edge = [math.comb(d + n - 1, n) for d in range(max_degree + 2)]
+    want = [[pos[a[:j] + (a[j] + 1,) + a[j + 1:]] for j in range(n)] for a in idx[: edge[max_degree]]]
+    assert oracle._raised(np.array(idx).reshape(len(idx), n), edge).tolist() == want
+
+
 @pytest.mark.parametrize("n, max_degree", [(1, 9), (2, 5), (3, 3)])
 @pytest.mark.parametrize("drift", [0.0, 0.5])
 def test_matrix_block_matches_symbol_algebra_columns(n, max_degree, drift):
@@ -191,11 +200,8 @@ def test_matrix_block_matches_symbol_algebra_columns(n, max_degree, drift):
     rng = np.random.default_rng(10 * n + int(10 * drift))
     idx = basis_indices(n, max_degree)
     root = [math.sqrt(math.prod(math.factorial(k) for k in a)) for a in idx]
-    for rank in range(n + 1):
-        phi = _seeded_map(rng, n, rank, drift)
-        # two terms with frequencies, one polynomial term without
-        polynomial = fk.monomial(n, tuple(int(k) for k in rng.integers(0, 3, size=n)), complex(rng.normal(), 1.0))
-        psi = _seeded_symbol(rng, n, 2, max_power=2) + polynomial
+
+    def check(psi, phi):
         problem = fk.WcoProblem(psi, phi, 2.0, 2.0)
         M = f2_matrix(problem, fk.TruncationSpec(max_degree=max_degree))
         want = np.array([
@@ -209,6 +215,18 @@ def test_matrix_block_matches_symbol_algebra_columns(n, max_degree, drift):
         # the high-degree block is the same columns
         high = oracle._matrix_block(problem, max_degree, 2)
         assert np.allclose(high, M[:, math.comb(n + 1, n):], rtol=0.0, atol=1e-14 * np.abs(M).max())
+
+    for rank in range(n + 1):
+        phi = _seeded_map(rng, n, rank, drift)
+        # two terms with frequencies, one polynomial term without
+        polynomial = fk.monomial(n, tuple(int(k) for k in rng.integers(0, 3, size=n)), complex(rng.normal(), 1.0))
+        check(_seeded_symbol(rng, n, 2, max_power=2) + polynomial, phi)
+    if n == 3:
+        # shaped like 13_rank_deficient_n3: rank two on the first two axes and the drift on the
+        # null coordinate, so most rows of the block are zero; with psi = 1, and with frequencies
+        phi = AffineMap(np.diag([0.8, 0.5j, 0.0]), [0.0, 0.0, 0.4 + drift])
+        check(fk.constant(n), phi)
+        check(_seeded_symbol(rng, n, 2, max_power=2) + fk.monomial(n, (0, 1, 1), 0.7), phi)
 
 
 @pytest.mark.parametrize(
@@ -328,6 +346,35 @@ def test_truncated_norm_is_top_singular_value(shape, rank):
     sv = np.linalg.svd(M, compute_uv=False)
     want = float(sv[0]) if sv.size else 0.0
     assert abs(truncated_norm(M) - want) <= 1e-13 * want
+    # zero rows add nothing: the same value with a zero row before, between and after the rows
+    padded = np.zeros((2 * m + 1, k), dtype=complex)
+    padded[1::2] = M
+    assert abs(truncated_norm(padded) - want) <= 1e-13 * want
+    assert truncated_norm(np.zeros_like(padded)) == 0.0
+
+
+def test_lanczos_on_the_rank_deficient_block_reads_its_nonzero_rows_only():
+    # 13_rank_deficient_n3 maps into the plane z3 = 0 plus a drift along z3: the block of the
+    # degrees 11..16 has one nonzero per column, in 153 of its 969 rows (|gamma| <= 16, gamma_3 = 0)
+    loaded = cli.load_problem(corpus_path("13_rank_deficient_n3"))
+    block = oracle._matrix_block(loaded.problem, 16, 11)
+    assert block.shape == (969, 683)
+    assert np.count_nonzero(block) == 683
+    assert np.count_nonzero(block.any(axis=1)) == 153 == math.comb(16 + 2, 2)
+    shapes = set()
+
+    class Recorded(np.ndarray):
+        # records the shape of every matrix product the iteration takes with it
+        def __matmul__(self, other):
+            shapes.add(self.shape)
+            return np.asarray(self) @ other
+
+        def __rmatmul__(self, other):
+            shapes.add(self.shape)
+            return other @ np.asarray(self)
+
+    assert truncated_norm(block.view(Recorded)) == truncated_norm(block) > 0.0
+    assert shapes == {(153, 683)}
 
 
 def test_essential_upper_reads_only_high_degree_columns(monkeypatch):
