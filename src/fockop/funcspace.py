@@ -8,6 +8,7 @@ package exact at the symbol level.
 """
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
@@ -30,6 +31,7 @@ __all__ = [
     "slice_head",
     "slice_tail",
     "apply_wco",
+    "canonical_terms",
 ]
 
 #: frequencies that differ by at most this per component are merged
@@ -74,6 +76,19 @@ def _canonical(n: int, terms: Iterable[Term]) -> tuple[Term, ...]:
     return kept
 
 
+def canonical_terms(n: int, terms: list[Term]) -> tuple[Term, ...]:
+    """The canonical form ExpPoly keeps of terms computed from checked ones.
+
+    Skips the per-term coercion and checks of ``ExpPoly.__post_init__``; keeps
+    the term budget, the canonical form, and the check that every coefficient
+    is finite, since a product of finite coefficients can overflow.
+    """
+    _check_budget(len(terms))
+    if not all(cmath.isfinite(t.coeff) for t in terms):
+        raise DomainError("coefficients must be finite")
+    return _canonical(n, terms)
+
+
 @dataclass(frozen=True)
 class ExpPoly:
     """A finite exponential-polynomial on C^n, kept in canonical form."""
@@ -105,18 +120,10 @@ class ExpPoly:
 
     @classmethod
     def _from_checked(cls, n: int, terms: list[Term]) -> "ExpPoly":
-        """Canonical ExpPoly of terms computed by this module from checked ones.
-
-        Skips the per-term coercion and checks of ``__post_init__``; keeps the
-        term budget, the canonical form, and the check that every coefficient is
-        finite, since a product of finite coefficients can overflow.
-        """
-        _check_budget(len(terms))
-        if not np.isfinite(np.array([t.coeff for t in terms], dtype=complex)).all():
-            raise DomainError("coefficients must be finite")
+        """Canonical ExpPoly of terms computed by this module from checked ones (see ``canonical_terms``)."""
         out = object.__new__(cls)
         object.__setattr__(out, "n", n)
-        object.__setattr__(out, "terms", _canonical(n, terms))
+        object.__setattr__(out, "terms", canonical_terms(n, terms))
         return out
 
     # -- queries ---------------------------------------------------------

@@ -21,18 +21,29 @@ sqrt(S - delta) / ||(I - P_N) k_w|| for its computed square S and the
 rounding bound delta = gamma_m (sum_a |c_a| ||u_a||)^2 over its terms, so it
 stays below the exact quotient (``truncated_essential_upper``).  ``f2_inner``
 contracts the same Gram blocks for ``fock_norm`` at p = 2.
+
+The Rayleigh sweep and the compactness witness build no probe image as a
+symbol either.  A normalized kernel's image has the closed form
+W k_w = e^{<b, w> - |w|^2/2} psi e^{<z, A* w>}, so ``_images`` takes
+e^{<b, w>} and A* w for every probe point at once, expands (A z + b)^h once
+per power h of the monomial probes, and puts each image in ExpPoly's
+canonical form; ``quad.fock_norms`` norms them all with ``fock_norm``'s
+dispatch and one set of p = 2 Gram tables, so each quotient keeps the bits
+of the image built by ``apply_wco`` and normed by ``fock_norm``.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import combinations_with_replacement
+from operator import add
 
 import numpy as np
 
 from .errors import DimensionError, DomainError
-from .funcspace import ExpPoly, apply_wco, kernel, monomial, multiply, normalized_kernel
-from .quad import DEFAULT_SPEC, QuadSpec, f2_gram, f2_inner, fock_norm
+from .funcspace import Term, canonical_terms, compose_affine, monomial
+from .quad import DEFAULT_SPEC, QuadSpec, f2_gram, f2_inner, fock_norms
 from .special import gamma_p
 from .wco import WcoProblem
 
@@ -70,6 +81,12 @@ class TruncationSpec:
 
 def basis_indices(n: int, max_degree: int) -> list[tuple[int, ...]]:
     """Multi-indices with |alpha| <= max_degree in graded lexicographic order."""
+    return [tuple(alpha) for alpha in _basis(n, max_degree).tolist()]
+
+
+@lru_cache(maxsize=16)
+def _basis(n: int, max_degree: int) -> np.ndarray:
+    """The multi-indices of ``basis_indices`` as the rows of a read-only array, built once per argument."""
     if n < 1 or max_degree < 0:
         raise DimensionError("need n >= 1 and max_degree >= 0")
     out: list[tuple[int, ...]] = []
@@ -83,7 +100,9 @@ def basis_indices(n: int, max_degree: int) -> list[tuple[int, ...]]:
         out.extend(sorted(level, reverse=True))
     if len(out) > BASIS_CAP:
         raise DomainError(f"basis of size {len(out)} exceeds the cap {BASIS_CAP}")
-    return out
+    B = np.array(out, dtype=int).reshape(len(out), n)
+    B.setflags(write=False)
+    return B
 
 
 def _coordinate_pairing(freq: complex, power: int, max_degree: int) -> np.ndarray:
@@ -120,7 +139,7 @@ def _raised(B: np.ndarray, edge: list[int]) -> np.ndarray:
     return np.array(edge)[E.sum(axis=2)] + larger[np.arange(n - 1), after[:, :, :-1]].sum(axis=2)
 
 
-def _matrix_block(problem: WcoProblem, max_degree: int, min_degree: int = 0) -> np.ndarray:
+def _matrix_block(problem: WcoProblem, max_degree: int, min_degree: int = 0, live_rows: bool = False) -> np.ndarray:
     """<W e_alpha, e_beta> for |beta| <= max_degree and min_degree <= |alpha| <= max_degree.
 
     Column alpha of Q holds (A z + b)^alpha / sqrt(alpha!) on the basis e_gamma;
@@ -140,30 +159,33 @@ def _matrix_block(problem: WcoProblem, max_degree: int, min_degree: int = 0) -> 
     the 969 rows of degree at most 16.  Every entry is the same sum, in the
     same order, as on all rows; the pairing matrix multiplies each degree's
     block on all rows, so that its matrix product keeps the bits of the dense
-    one.
+    one.  With ``live_rows`` and no frequency in psi, M itself holds only the
+    rows gamma + g that its terms z^g move the kept rows gamma to, in basis
+    order (153 on corpus 13), which is all ``truncated_norm`` reads of it; a
+    pairing matrix can fill any row.
     """
     n, A, b = problem.n, problem.phi.A, problem.phi.b
-    idx = basis_indices(n, max_degree)
-    B = np.array(idx, dtype=int).reshape(len(idx), n)
+    B = _basis(n, max_degree)
+    size = len(B)
     # degree d is rows edge[d]:edge[d + 1] of the graded basis
     edge = [math.comb(d + n - 1, n) for d in range(max_degree + 2)]
     inner = edge[max_degree]
     up = _raised(B, edge)
     lift = np.sqrt(B[:inner] + 1.0)
     # alpha's parent is alpha - e_i for its first nonzero coordinate i
-    parent = np.zeros(len(idx), dtype=int)
-    direction = np.zeros(len(idx), dtype=int)
+    parent = np.zeros(size, dtype=int)
+    direction = np.zeros(size, dtype=int)
     for j in reversed(range(n)):
         parent[up[:, j]] = np.arange(inner)
         direction[up[:, j]] = j
-    root = np.sqrt(B[np.arange(len(idx)), direction])
+    root = np.sqrt(B[np.arange(size), direction])
 
     # terms without a frequency move rows; the others add up to one pairing matrix
     shifts, pairing = [], None
     for coeff, power, freq in problem.psi.terms:
         tables = [_coordinate_pairing(f, g, max_degree) for f, g in zip(freq, power)]
         if any(freq):
-            table = np.full((len(idx), len(idx)), coeff)
+            table = np.full((size, size), coeff)
             for i in range(n):
                 table *= tables[i][B[:, i][:, None], B[:, i][None, :]]
             if pairing is None:
@@ -181,8 +203,6 @@ def _matrix_block(problem: WcoProblem, max_degree: int, min_degree: int = 0) -> 
                 weight *= tables[i][B[dst, i], B[: len(dst), i]]
             shifts.append((dst, weight))
 
-    first = edge[min_degree]
-    M = np.zeros((len(idx), len(idx) - first), dtype=complex)
     # Q keeps the rows that can hold a nonzero; gamma is row pos[gamma], its rank among the
     # kept rows, or among the kept rows of its degree when b = 0
     moved, drift = [j for j in range(n) if A[:, j].any()], b.any()
@@ -190,6 +210,14 @@ def _matrix_block(problem: WcoProblem, max_degree: int, min_degree: int = 0) -> 
     below = np.concatenate(([0], np.cumsum(reach)))  # below[k]: rows kept among the first k
     pos = below[:-1] - (0 if drift else np.repeat(below[edge[:-1]], np.diff(edge)))
     below, kept = below.tolist(), np.flatnonzero(reach)
+    if live_rows and pairing is None:
+        live = np.unique(np.concatenate([dst[kept[kept < len(dst)]] for dst, _ in shifts]))
+    else:
+        live = np.arange(size)
+    at = np.zeros(size, dtype=int)  # at[beta]: the row of M that holds beta
+    at[live] = np.arange(len(live))
+    first = edge[min_degree]
+    M = np.zeros((len(live), size - first), dtype=complex)
     rows, Q = kept[:1], np.ones((1, 1), dtype=complex)
     for d in range(max_degree + 1):
         start = 0 if drift else below[edge[d]]
@@ -210,7 +238,7 @@ def _matrix_block(problem: WcoProblem, max_degree: int, min_degree: int = 0) -> 
         cols = slice(edge[d] - first, edge[d + 1] - first)
         for dst, weight in shifts:
             s = max(below[len(dst)] - start, 0)  # the rows gamma < len(dst)
-            M[dst[rows[:s]], cols] += weight[rows[:s], None] * Q[:s]
+            M[at[dst[rows[:s]]], cols] += weight[rows[:s], None] * Q[:s]
         if pairing is not None:
             full = np.zeros((edge[d + 1], Q.shape[1]), dtype=complex)
             full[rows] = Q
@@ -249,34 +277,46 @@ def truncated_norm(matrix: np.ndarray) -> float:
     q = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     q /= np.linalg.norm(q)
     basis: list[np.ndarray] = []
-    diag: list[float] = []
-    off: list[float] = []
-    for _ in range(dim):
+    tri = np.zeros((16, 16))  # the Lanczos tridiagonal in its leading k x k block, doubled when full
+    for k in range(dim):
         basis.append(q)
         w = ((matrix @ (q / scale)).conj() @ matrix).conj() / scale
-        diag.append(float(np.vdot(q, w).real))
+        tri[k, k] = np.vdot(q, w).real
         V = np.array(basis)
         conj = V.conj()
         for _ in range(2):  # twice is enough to keep the basis orthogonal to rounding
             w -= V.T @ (conj @ w)
         beta = float(np.linalg.norm(w))
-        ritz, vecs = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+        ritz, vecs = np.linalg.eigh(tri[: k + 1, : k + 1])
         top = float(ritz[-1])
         if beta * abs(vecs[-1, -1]) <= np.finfo(float).eps * top:
             break
-        off.append(beta)
+        if k + 1 == len(tri):
+            tri = np.pad(tri, (0, len(tri)))
+        tri[k, k + 1] = tri[k + 1, k] = beta
         q = w / beta
     return scale * math.sqrt(max(top, 0.0))
 
 
-def _probe_directions(n: int) -> list[np.ndarray]:
-    """The n coordinate axes, then eight random unit directions from a fixed seed."""
+@lru_cache(maxsize=8)
+def _probe_directions(n: int) -> np.ndarray:
+    """The n coordinate axes, then eight random unit directions from a fixed seed, as read-only rows."""
     dirs = [np.eye(n, dtype=complex)[i] for i in range(n)]
     rng = np.random.default_rng(7)
     for _ in range(8):
         v = rng.normal(size=n) + 1j * rng.normal(size=n)
         dirs.append(v / np.linalg.norm(v))
-    return dirs
+    out = np.array(dirs)
+    out.setflags(write=False)
+    return out
+
+
+@lru_cache(maxsize=8)
+def _kernel_points(n: int) -> np.ndarray:
+    """The kernel probes w = r d, r over ``_KERNEL_RADII`` and then d over ``_probe_directions``, as read-only rows."""
+    out = np.array([r * d for r in _KERNEL_RADII for d in _probe_directions(n)])
+    out.setflags(write=False)
+    return out
 
 
 def _kernel_tail_quotients(problem: WcoProblem, N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -310,7 +350,7 @@ def _kernel_tail_quotients(problem: WcoProblem, N: int) -> tuple[np.ndarray, np.
     a double.
     """
     n = problem.n
-    w = np.array([r * d for r in _KERNEL_RADII for d in _probe_directions(n)])
+    w = _kernel_points(n)
     # ||(I - P_N) k_w||^2 = 1 - e^{-|w|^2} sum_{k <= N} |w|^(2k) / k!
     #                    = P(N + 1, |w|^2), the regularized incomplete gamma
     square_w = np.sum(np.abs(w) ** 2, axis=1)
@@ -328,7 +368,7 @@ def _kernel_tail_quotients(problem: WcoProblem, N: int) -> tuple[np.ndarray, np.
     c = np.array([t.coeff for t in psi])
     g = np.array([t.power for t in psi])
     f = np.array([t.freq for t in psi], dtype=complex)
-    low = np.array(basis_indices(n, N))
+    low = _basis(n, N)
     fact = np.array([float(math.factorial(k)) for k in range(N + int(g.max()) + 1)])
     root = np.sqrt(fact)
 
@@ -397,9 +437,56 @@ def truncated_essential_upper(problem: WcoProblem, spec: TruncationSpec | None =
     if not (problem.p == 2.0 and problem.q == 2.0):
         raise DomainError("the matrix oracle works on the p = q = 2 space")
     N = spec.max_degree
-    best = truncated_norm(_matrix_block(problem, N + _MARGIN, N + 1))
+    best = truncated_norm(_matrix_block(problem, N + _MARGIN, N + 1, live_rows=True))
     _, quotients, _ = _kernel_tail_quotients(problem, N)
     return max(best, float(quotients.max(initial=0.0)))
+
+
+def _kernel_terms(points: np.ndarray) -> list[Term]:
+    """The terms of the normalized kernels e^{-|w|^2/2} e^{<z, w>} at the rows w of ``points`` (``normalized_kernel``'s)."""
+    n = points.shape[1]
+    scales = np.sum(np.abs(points) ** 2, axis=1).tolist()
+    return [Term(complex(math.exp(-0.5 * x)), (0,) * n, tuple(w)) for x, w in zip(scales, points.tolist())]
+
+
+def _images(problem: WcoProblem, probes: list[tuple[Term, ...]]) -> list[tuple[Term, ...]]:
+    """The canonical terms of W f = psi (f o phi) for the canonical terms of each probe f, as ``apply_wco`` forms them.
+
+    A term c z^h e^{<z, w>} goes to c e^{<b, w>} (A z + b)^h e^{<z, A* w>}, and
+    e^{<b, w>} and A* w are taken for the w of all terms at once, each with the
+    bits of ``compose_affine``'s own.  (A z + b)^h is expanded once per power
+    h != 0 and scaled by c e^{<b, w>}; where c e^{<b, w>} = 1 or |h| = 1,
+    which covers every probe of ``rayleigh_sweep``, that gives
+    compose_affine's coefficients up to the sign of a zero real or imaginary
+    part, which no norm reads.  Each composed probe and each product with
+    psi is put in canonical form, with compose_affine's and multiply's term
+    order, so merges and drops come out the same.
+    """
+    n, phi = problem.n, problem.phi
+    terms = [t for f in probes for t in f]
+    freqs = np.array([t.freq for t in terms], dtype=complex).reshape(len(terms), n)
+    # b tiled to full rows: times a broadcast row, numpy's complex product can round differently
+    shifts = np.exp(np.sum(np.tile(phi.b, (len(terms), 1)) * np.conj(freqs), axis=1)).tolist()
+    moved = np.matmul(phi.A.conj().T, freqs[:, :, None])[:, :, 0].tolist()
+    expanded: dict[tuple[int, ...], tuple[Term, ...]] = {}
+    images, k = [], 0
+    for f in probes:
+        composed = []
+        for coeff, power, _ in f:
+            base, v = coeff * shifts[k], tuple(moved[k])
+            k += 1
+            if not any(power):
+                composed.append(Term(base, power, v))
+                continue
+            if power not in expanded:
+                expanded[power] = compose_affine(monomial(n, power), phi).terms
+            composed += [Term(base * c, h, v) for c, h, _ in expanded[power]]
+        composed = canonical_terms(n, composed)
+        images.append(canonical_terms(n, [
+            Term(c1 * c2, tuple(map(add, p1, p2)), tuple(map(add, w1, w2)))
+            for c1, p1, w1 in problem.psi.terms for c2, p2, w2 in composed
+        ]))
+    return images
 
 
 @dataclass(frozen=True)
@@ -417,37 +504,34 @@ class SweepResult:
 def rayleigh_sweep(problem: WcoProblem, spec: TruncationSpec | None = None) -> SweepResult:
     """Quotients ||W f||_q / ||f||_p over a deterministic probe family.
 
-    Probes: normalized kernels on a radial grid, low monomials, and a few
-    kernel combinations.  Every quotient is a lower bound for the norm.
+    Probes: normalized kernels at w = 0 and at the points of
+    ``_kernel_tail_quotients``, low monomials, and a few kernel combinations.
+    Every quotient is a lower bound for the norm.  No probe image is built
+    as a symbol: ``_images`` forms all of them from term arrays (a kernel's
+    image is e^{<b, w> - |w|^2/2} psi e^{<z, A* w>} in closed form), and
+    ``quad.fock_norms`` norms them with ``fock_norm``'s dispatch, the p = 2
+    Gram tables shared, so each quotient has the bits of
+    ``fock_norm(apply_wco(psi, phi, f), q).value / fock_norm(f, p).value``.
     """
     spec = spec or TruncationSpec()
-    qspec = spec.quad
     n = problem.n
-    records: list[SweepRecord] = []
-
-    def add(label: str, f: ExpPoly) -> None:
-        denom = fock_norm(f, problem.p, qspec).value
-        if denom <= 0:
-            return
-        num = fock_norm(apply_wco(problem.psi, problem.phi, f), problem.q, qspec).value
-        records.append(SweepRecord(label, num / denom))
-
     dirs = _probe_directions(n)
-    add("kernel r=0", normalized_kernel(np.zeros(n, dtype=complex)))
-    for r in _KERNEL_RADII:
-        for k, d in enumerate(dirs):
-            add(f"kernel r={r:g} dir={k}", normalized_kernel(r * d))
-    for alpha in basis_indices(n, 3):
-        if sum(alpha) == 0:
-            continue
-        add(f"monomial {alpha}", monomial(n, alpha))
-    for k, d in enumerate(dirs[: min(3, len(dirs))]):
-        f = normalized_kernel(d) + normalized_kernel(-d)
-        add(f"kernel pair dir={k}", f)
-        g = multiply(monomial(n, (1,) + (0,) * (n - 1)), kernel(d))
-        add(f"monomial*kernel dir={k}", g)
+    points = np.concatenate([np.zeros((1, n), dtype=complex), _kernel_points(n)])
+    labels = ["kernel r=0"] + [f"kernel r={r:g} dir={k}" for r in _KERNEL_RADII for k in range(len(dirs))]
+    probes = [(t,) for t in _kernel_terms(points)]
+    for alpha in basis_indices(n, 3)[1:]:
+        labels.append(f"monomial {alpha}")
+        probes.append((Term(1 + 0j, alpha, (0j,) * n),))
+    first = (1,) + (0,) * (n - 1)
+    for k, d in enumerate(dirs[:3]):
+        labels += [f"kernel pair dir={k}", f"monomial*kernel dir={k}"]
+        probes += [canonical_terms(n, _kernel_terms(np.array([d, -d]))), (Term(1 + 0j, first, tuple(d.tolist())),)]
+    denoms = fock_norms(probes, n, problem.p, spec.quad)
+    kept = [k for k, denom in enumerate(denoms) if denom > 0]
+    nums = fock_norms(_images(problem, [probes[k] for k in kept]), n, problem.q, spec.quad)
+    records = tuple(SweepRecord(labels[k], num / denoms[k]) for k, num in zip(kept, nums))
     best = max((rec.quotient for rec in records), default=0.0)
-    return SweepResult(tuple(records), best)
+    return SweepResult(records, best)
 
 
 @dataclass(frozen=True)
@@ -466,9 +550,10 @@ def compactness_witness(
 ) -> list[WitnessRay]:
     """||W k_w||_q along rays w = base + r * direction, r = 1, 2, 4, 8.
 
-    Kernel images under W stay exact symbols, so each value is one norm
-    computation.  Compact operators send these to zero along every ray;
-    non-compact bounded ones keep some ray bounded away from zero.
+    The kernel images come from ``_images`` in closed form, all rays at
+    once, and are normed by ``quad.fock_norms``.  Compact operators send
+    these to zero along every ray; non-compact bounded ones keep some ray
+    bounded away from zero.
     """
     spec = spec or DEFAULT_SPEC
     n = problem.n
@@ -477,15 +562,13 @@ def compactness_witness(
     if base is None:
         base = np.zeros(n, dtype=complex)
     base = np.asarray(base, dtype=complex)
-    rays = []
-    for d in directions:
-        dv = np.asarray(d, dtype=complex)
-        if dv.shape != (n,):
-            raise DimensionError("directions must be vectors in C^n")
-        vals = []
-        for r in _KERNEL_RADII:
-            w = base + r * dv
-            img = apply_wco(problem.psi, problem.phi, normalized_kernel(w))
-            vals.append(fock_norm(img, problem.q, spec).value)
-        rays.append(WitnessRay(tuple(dv), tuple(base), _KERNEL_RADII, tuple(vals)))
-    return rays
+    dirs = [np.asarray(d, dtype=complex) for d in directions]
+    if any(dv.shape != (n,) for dv in dirs):
+        raise DimensionError("directions must be vectors in C^n")
+    points = np.array([base + r * dv for dv in dirs for r in _KERNEL_RADII]).reshape(-1, n)
+    values = fock_norms(_images(problem, [(t,) for t in _kernel_terms(points)]), n, problem.q, spec)
+    size = len(_KERNEL_RADII)
+    return [
+        WitnessRay(tuple(dv), tuple(base), _KERNEL_RADII, tuple(values[k * size: (k + 1) * size]))
+        for k, dv in enumerate(dirs)
+    ]

@@ -43,11 +43,11 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import DimensionError, DomainError
-from .funcspace import COEFF_DROP_TOL, FREQ_MERGE_TOL, ExpPoly, slice_head
+from .funcspace import COEFF_DROP_TOL, FREQ_MERGE_TOL, ExpPoly, Term, slice_head
 from .linalg import as_cvector
 from .special import log_hyp1f1
 
-__all__ = ["QuadSpec", "NormResult", "f2_gram", "f2_inner", "fock_norm", "grid_blocks", "slice_norm",
+__all__ = ["QuadSpec", "NormResult", "f2_gram", "f2_inner", "fock_norm", "fock_norms", "grid_blocks", "slice_norm",
            "slice_norm_many", "tensor_log_sums", "tensor_sup", "tensor_values"]
 
 
@@ -164,6 +164,8 @@ def factor_log_max(a: float, wmod: float, d: int) -> float:
 
 #: largest number of term pairs a block of ``f2_gram`` holds, unless one row holds more
 _GRAM_BLOCK = 1 << 20
+#: most terms over which ``fock_norms`` builds one set of shared Gram tables, unless one symbol has more
+_SHARED_TERMS = 128
 _UNIT_ROUNDOFF = 2.0 ** -53
 
 
@@ -219,6 +221,31 @@ def _coordinate_table(
     return np.exp(np.outer(cb, es)) * total
 
 
+def _gram_tables(powers: np.ndarray, freqs: np.ndarray, col_powers: np.ndarray, col_freqs: np.ndarray,
+                 orthonormal: bool = False) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Per coordinate, the pairing table over the distinct (power, frequency) pairs and each term's row and column."""
+    tables = []
+    for i in range(powers.shape[1]):
+        gs, cs, rows = _distinct_pairs(powers[:, i], freqs[:, i])
+        ds, es, cols = _distinct_pairs(col_powers[:, i], col_freqs[:, i])
+        tables.append((_coordinate_table(gs, cs, ds, es, orthonormal), rows, cols))
+    return tables
+
+
+def _gram_blocks(tables, rows: slice, cols: slice) -> Iterator[tuple[slice, np.ndarray]]:
+    """Row blocks of the Gram matrix of the row terms ``rows`` against the column terms ``cols`` of ``tables``.
+
+    Each block gathers the tables onto its rows and multiplies them across
+    coordinates, and holds at most ``max(_GRAM_BLOCK, columns)`` entries.
+    """
+    picked = [(table, index[rows], col_index[cols]) for table, index, col_index in tables]
+    size, width = len(picked[0][1]), len(picked[0][2])
+    step = max(1, _GRAM_BLOCK // width)
+    for lo in range(0, size, step):
+        sl = slice(lo, lo + step)
+        yield sl, math.prod(table[np.ix_(index[sl], col_index)] for table, index, col_index in picked)
+
+
 def f2_gram(
     powers: np.ndarray, freqs: np.ndarray, col_powers: np.ndarray, col_freqs: np.ndarray, orthonormal: bool = False
 ) -> Iterator[tuple[slice, np.ndarray]]:
@@ -233,20 +260,23 @@ def f2_gram(
     blocks in row order, each holding at most ``max(_GRAM_BLOCK, columns)``
     entries.
     """
-    tables = []
-    for i in range(powers.shape[1]):
-        gs, cs, rows = _distinct_pairs(powers[:, i], freqs[:, i])
-        ds, es, cols = _distinct_pairs(col_powers[:, i], col_freqs[:, i])
-        tables.append((_coordinate_table(gs, cs, ds, es, orthonormal), rows, cols))
-    step = max(1, _GRAM_BLOCK // len(col_powers))
-    for lo in range(0, len(powers), step):
-        sl = slice(lo, lo + step)
-        yield sl, math.prod(table[np.ix_(rows[sl], cols)] for table, rows, cols in tables)
+    tables = _gram_tables(powers, freqs, col_powers, col_freqs, orthonormal)
+    yield from _gram_blocks(tables, slice(None), slice(None))
 
 
-def _term_arrays(f: ExpPoly) -> tuple[np.ndarray, np.ndarray]:
-    """The (terms, n) powers and frequencies of a symbol with at least one term."""
-    return np.array([t.power for t in f.terms]), np.array([t.freq for t in f.terms])
+def _term_arrays(terms: Sequence[Term]) -> tuple[np.ndarray, np.ndarray]:
+    """The (terms, n) powers and frequencies of at least one term."""
+    return np.array([t.power for t in terms]), np.array([t.freq for t in terms])
+
+
+def _contract(coeffs: Sequence[complex], blocks: Iterable[tuple[slice, np.ndarray]], col_coeffs=None) -> complex:
+    """sum_ab c_a G[a, b] conj(d_b) over Gram row blocks, the column coefficients d the row ones by default."""
+    cf = np.array(coeffs, dtype=complex)
+    cg = np.conj(cf if col_coeffs is None else np.array(col_coeffs, dtype=complex))
+    total = 0j
+    for sl, block in blocks:
+        total += complex(cf[sl] @ block @ cg)
+    return total
 
 
 def f2_inner(f: ExpPoly, g: ExpPoly) -> complex:
@@ -259,13 +289,9 @@ def f2_inner(f: ExpPoly, g: ExpPoly) -> complex:
         raise DimensionError("inner product needs equal arity")
     if not f.terms or not g.terms:
         return 0j
-    cf = np.array([t.coeff for t in f.terms], dtype=complex)
-    cg = np.conj(np.array([t.coeff for t in g.terms], dtype=complex))
-    rows = _term_arrays(f)
-    total = 0j
-    for sl, block in f2_gram(*rows, *(rows if g is f else _term_arrays(g))):
-        total += complex(cf[sl] @ block @ cg)
-    return total
+    rows = _term_arrays(f.terms)
+    blocks = f2_gram(*rows, *(rows if g is f else _term_arrays(g.terms)))
+    return _contract([t.coeff for t in f.terms], blocks, [t.coeff for t in g.terms])
 
 
 def _f2_norm(f: ExpPoly) -> NormResult:
@@ -600,6 +626,47 @@ def _gh_integral_norm(f: ExpPoly, p: float, k: int) -> float:
 
 
 # -- public ops --------------------------------------------------------------
+
+
+def fock_norms(symbols: Sequence[tuple[Term, ...]], n: int, p: float, spec: QuadSpec | None = None) -> list[float]:
+    """``fock_norm(ExpPoly(n, terms), p, spec).value`` for the canonical terms of each of many symbols.
+
+    The same dispatch, with the p = 2 Gram tables shared: the symbols of
+    several terms at p = 2 that have the same largest power in each
+    coordinate (on which ``_coordinate_table``'s power table and its sum over
+    j depend) get one table set per coordinate over all their distinct
+    (power, frequency) pairs, up to ``_SHARED_TERMS`` terms a set, and each
+    is contracted from its own block as ``f2_inner`` contracts it, so every
+    value keeps the bits of ``fock_norm``.
+    """
+    spec = spec or DEFAULT_SPEC
+    p = _check_p(p)
+    values = [0.0] * len(symbols)
+    table_sets: list[list[int]] = []
+    open_set: dict[tuple[int, ...], tuple[list[int], int]] = {}  # the last set of each top power, its term count
+    for k, terms in enumerate(symbols):
+        if len(terms) == 1 and spec.allow_closed_form:
+            values[k] = single_term_norm(*terms[0], p)
+        elif len(terms) > 1 and p == 2.0 and spec.allow_closed_form:
+            top = tuple(map(max, *(t.power for t in terms)))
+            members, size = open_set.get(top, (None, 0))
+            if members is None or size + len(terms) > _SHARED_TERMS:
+                members, size = [], 0
+                table_sets.append(members)
+            members.append(k)
+            open_set[top] = (members, size + len(terms))
+        elif terms:
+            values[k] = fock_norm(ExpPoly(n, terms), p, spec).value
+    for members in table_sets:
+        rows = _term_arrays([t for k in members for t in symbols[k]])
+        tables = _gram_tables(*rows, *rows)
+        start = 0
+        for k in members:
+            own = slice(start, start + len(symbols[k]))
+            start = own.stop
+            square = _contract([t.coeff for t in symbols[k]], _gram_blocks(tables, own, own)).real
+            values[k] = math.sqrt(max(square, 0.0))
+    return values
 
 
 def fock_norm(f: ExpPoly, p: float, spec: QuadSpec | None = None) -> NormResult:

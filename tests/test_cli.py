@@ -93,6 +93,8 @@ def test_verify_text_mode_prints_pass_lines():
         ("bounds_01_identity.json", ("bounds", "01_identity")),
         ("bounds_03_constant_map.json", ("bounds", "03_constant_map")),
         ("essnorm_08_p_below_q.json", ("essnorm", "08_p_below_q")),
+        ("oracle_04_unit_shift.json", ("oracle", "04_unit_shift")),
+        ("oracle_14_two_frequencies.json", ("oracle", "14_two_frequencies")),
     ],
 )
 def test_json_reports_match_golden(golden, args):

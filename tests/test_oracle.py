@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import mpmath
 import numpy as np
@@ -19,7 +20,7 @@ from fockop.oracle import (
     truncated_norm,
 )
 
-from helpers import corpus_path
+from helpers import CORPUS_DIR, corpus_path
 
 
 def cop(a, b=0.0, p=2.0, q=2.0):
@@ -135,6 +136,117 @@ def test_witness_rays_decay_for_compact_map():
 def test_witness_rays_persist_for_identity():
     rays = compactness_witness(cop(1.0))
     assert any(min(ray.values) > 0.5 for ray in rays)
+
+
+def _reference_sweep(problem, qspec):
+    """rayleigh_sweep's probes, each image built as a symbol: [(label, ||W f||_q / ||f||_p)]."""
+    n, psi, phi = problem.n, problem.psi, problem.phi
+    dirs = oracle._probe_directions(n)
+    probes = [("kernel r=0", fk.normalized_kernel(np.zeros(n, dtype=complex)))]
+    probes += [
+        (f"kernel r={r:g} dir={k}", fk.normalized_kernel(r * d))
+        for r in (1.0, 2.0, 4.0, 8.0)
+        for k, d in enumerate(dirs)
+    ]
+    probes += [(f"monomial {alpha}", fk.monomial(n, alpha)) for alpha in basis_indices(n, 3) if sum(alpha)]
+    for k, d in enumerate(dirs[:3]):
+        probes.append((f"kernel pair dir={k}", fk.normalized_kernel(d) + fk.normalized_kernel(-d)))
+        probes.append((f"monomial*kernel dir={k}", fk.multiply(fk.monomial(n, (1,) + (0,) * (n - 1)), fk.kernel(d))))
+    out = []
+    for label, f in probes:
+        denom = quad.fock_norm(f, problem.p, qspec).value
+        if denom > 0:
+            out.append((label, quad.fock_norm(fk.apply_wco(psi, phi, f), problem.q, qspec).value / denom))
+    return out
+
+
+def _sweep_pairs(problem):
+    return [(r.label, r.quotient) for r in rayleigh_sweep(problem).records]
+
+
+@pytest.mark.parametrize("path", sorted(CORPUS_DIR.glob("*.json")), ids=lambda path: path.stem)
+def test_sweep_keeps_the_bits_of_the_symbol_algebra_on_the_corpus(path):
+    # every quotient, label and order as from apply_wco and fock_norm, p or q != 2 (08, 09, 10, 17) included
+    problem = cli.load_problem(path).problem
+    assert _sweep_pairs(problem) == _reference_sweep(problem, fk.TruncationSpec().quad)
+
+
+@pytest.mark.parametrize("p, q", [(2.0, 2.0), (1.5, 3.0)])
+def test_sweep_merges_the_kernel_pair_on_a_null_direction(p, q):
+    # A* e_2 = 0: both kernels of the pair on the second axis go to the frequency 0 and merge
+    # into one term c (e^{<b, e_2>} + e^{-<b, e_2>})
+    phi = AffineMap([[0.6, 0.3j], [0.0, 0.0]], [0.2, 0.5 - 0.4j])
+    psi = fk.ExpPoly(2, (fk.Term(1.0 + 0.5j, (0, 1), (0.2, 0.0)), fk.Term(-0.7 + 0j, (1, 0), (0.0, 0.1j))))
+    problem = fk.WcoProblem(psi, phi, p, q)
+    pair = fk.normalized_kernel([0.0, 1.0]) + fk.normalized_kernel([0.0, -1.0])
+    assert len(pair.terms) == 2 and len(fk.compose_affine(pair, phi).terms) == 1
+    sweep = _sweep_pairs(problem)
+    assert sweep == _reference_sweep(problem, fk.TruncationSpec().quad)
+    assert "kernel pair dir=1" in dict(sweep)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_sweep_keeps_the_bits_of_the_symbol_algebra_on_seeded_maps(n):
+    rng = np.random.default_rng(40 + n)
+    for rank in range(n + 1):
+        for drift in (0.0, 0.6):
+            phi = _seeded_map(rng, n, rank, drift)
+            psi = _seeded_symbol(rng, n, 3, max_power=2)
+            problem = fk.WcoProblem(psi, phi, 2.0, 2.0)
+            assert _sweep_pairs(problem) == _reference_sweep(problem, fk.TruncationSpec().quad)
+
+
+def test_sweep_keeps_the_bits_when_the_shared_gram_tables_split():
+    # 40 terms per kernel image: a few images share each table set, and the 37 kernel images need many sets
+    rng = np.random.default_rng(11)
+    problem = fk.WcoProblem(_seeded_symbol(rng, 1, 40, max_power=1), _seeded_map(rng, 1, 1, 0.3), 2.0, 2.0)
+    assert 1 < quad._SHARED_TERMS // len(problem.psi.terms) < 37
+    assert _sweep_pairs(problem) == _reference_sweep(problem, fk.TruncationSpec().quad)
+
+
+def test_witness_keeps_the_bits_of_the_symbol_algebra():
+    rng = np.random.default_rng(5)
+    for n, rank in [(1, 1), (2, 1), (3, 2)]:
+        problem = fk.WcoProblem(_seeded_symbol(rng, n, 2, max_power=1), _seeded_map(rng, n, rank, 0.5), 2.0, 2.0)
+        dirs = list(rng.normal(size=(2, n)) + 1j * rng.normal(size=(2, n)))
+        base = rng.normal(size=n) + 0j
+        rays = compactness_witness(problem, directions=dirs, base=base)
+        for ray, d in zip(rays, dirs):
+            want = [
+                quad.fock_norm(fk.apply_wco(problem.psi, problem.phi, fk.normalized_kernel(base + r * d)), 2.0).value
+                for r in ray.radii
+            ]
+            assert list(ray.values) == want
+
+
+def test_sweep_on_the_unit_shift_builds_no_symbol_per_probe(monkeypatch):
+    calls = Counter()
+
+    def counted(name, original):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return call
+
+    for name in ("normalized_kernel", "apply_wco", "compose_affine"):
+        wrapper = counted(name, getattr(funcspace, name))
+        for module in (oracle, funcspace):
+            monkeypatch.setattr(module, name, wrapper, raising=False)
+    problem = cli.load_problem(corpus_path("04_unit_shift")).problem
+    assert len(rayleigh_sweep(problem).records) == 46
+    # (A z + b)^h once for each of h = 1, 2, 3; the 43 kernel probes take no symbol algebra
+    assert calls["normalized_kernel"] == 0
+    assert calls["apply_wco"] <= 6 and calls["compose_affine"] <= 6
+
+
+def test_index_sets_are_built_once_and_read_only():
+    assert oracle._basis(3, 16) is oracle._basis(3, 16) and not oracle._basis(3, 16).flags.writeable
+    assert oracle._probe_directions(2) is oracle._probe_directions(2)
+    assert not oracle._probe_directions(2).flags.writeable and not oracle._kernel_points(2).flags.writeable
+    idx = basis_indices(2, 2)
+    idx.append((9, 9))
+    assert basis_indices(2, 2) == [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
 
 
 def _kernel_tail_symbol(w, N):
@@ -377,6 +489,32 @@ def test_lanczos_on_the_rank_deficient_block_reads_its_nonzero_rows_only():
     assert shapes == {(153, 683)}
 
 
+@pytest.mark.parametrize(
+    "stem, degrees, steps, value",
+    [
+        ("04_unit_shift", (10, 0), 10, 5.970785952043419),
+        ("04_unit_shift", (16, 11), 6, 10.669920680036807),
+        ("13_rank_deficient_n3", (10, 0), 16, 1.083287067674958),
+        ("13_rank_deficient_n3", (16, 11), 18, 0.09305364961147249),
+    ],
+)
+def test_lanczos_step_counts_and_values_are_pinned(monkeypatch, stem, degrees, steps, value):
+    # one eigh of the tridiagonal per Lanczos step: the step counts of the tridiagonal built from
+    # three np.diag calls per step, and its values (the bits at one BLAS thread)
+    sizes = []
+    original = np.linalg.eigh
+
+    def counted(matrix):
+        sizes.append(matrix.shape)
+        return original(matrix)
+
+    block = oracle._matrix_block(cli.load_problem(corpus_path(stem)).problem, *degrees)
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    norm = truncated_norm(block)
+    assert sizes == [(k, k) for k in range(1, steps + 1)]
+    assert norm == pytest.approx(value, rel=1e-13)
+
+
 def test_essential_upper_reads_only_high_degree_columns(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("full SVD, symbol product or symbol norm called")
@@ -400,10 +538,10 @@ def test_essential_upper_reads_only_high_degree_columns(monkeypatch):
     loaded = cli.load_problem(corpus_path("13_rank_deficient_n3"))
     monkeypatch.setattr(np.linalg, "svd", refuse)
     for module in (oracle, funcspace):
-        monkeypatch.setattr(module, "apply_wco", refuse)
-        monkeypatch.setattr(module, "multiply", refuse)
+        monkeypatch.setattr(module, "apply_wco", refuse, raising=False)
+        monkeypatch.setattr(module, "multiply", refuse, raising=False)
     for module in (oracle, quad):
-        monkeypatch.setattr(module, "fock_norm", refuse)
+        monkeypatch.setattr(module, "fock_norm", refuse, raising=False)
     monkeypatch.setattr(ExpPoly, "__post_init__", counted_init)
     monkeypatch.setattr(ExpPoly, "_from_checked", classmethod(counted_checked))
     monkeypatch.setattr(oracle, "truncated_norm", recorded)
@@ -411,7 +549,8 @@ def test_essential_upper_reads_only_high_degree_columns(monkeypatch):
     assert truncated_essential_upper(loaded.problem, spec) > 0.0
     # one Galerkin column per |alpha| in 11..16 on C^3, no symbol algebra per column or probe
     assert not built
-    assert shapes == [(math.comb(16 + 3, 3), math.comb(16 + 3, 3) - math.comb(10 + 3, 3))] == [(969, 683)]
+    # the block holds only the 153 rows with gamma_3 = 0 that psi = 1 can reach
+    assert shapes == [(math.comb(16 + 2, 2), math.comb(16 + 3, 3) - math.comb(10 + 3, 3))] == [(153, 683)]
 
 
 def test_oracle_runs_no_quadrature(monkeypatch, capsys):
