@@ -42,7 +42,6 @@ from .wco import (
     NormBounds,
     Normalization,
     WcoProblem,
-    admissibility,
     alternative_normalization,
     analyze,
     carleson_integral,

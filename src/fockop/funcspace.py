@@ -56,6 +56,8 @@ def _check_budget(count: int) -> None:
 def _canonical(n: int, terms: Iterable[Term]) -> tuple[Term, ...]:
     """Sort, merge nearby frequencies, and drop negligible coefficients."""
     items = [t for t in terms if t.coeff != 0]
+    if len(items) == 1:  # nothing to sort or merge; a modulus that overflows still fails the drop test
+        return tuple(t for t in items if abs(t.coeff) > COEFF_DROP_TOL * abs(t.coeff))
     items.sort(key=lambda t: (t.power, tuple((c.real, c.imag) for c in t.freq)))
     merged: list[Term] = []
     for t in items:

@@ -29,16 +29,18 @@ the double range.  ``grid_points`` stacks a block's points for the
 slice-norm fallback of ell in ``wco``, the one integrand that is not
 separable.  ``tensor_sup`` is the one maximizer: a grid search, refined by
 the same search on 3 x 3 grids per coordinate around the best node, each level
-one batched evaluation.  Where the centre of such a stencil stays highest, a
-quadratic model of the log fitted to the stencil sets the next steps (a
-Newton step) if it is concave, and the steps are halved otherwise.
+one batched evaluation.  Given a bound on each first-axis row of its grid, it
+reads only the rows that can hold half the largest value.  Where the centre
+of a stencil stays highest, a quadratic model of the log fitted to the
+stencil sets the next steps (a Newton step) if it is concave, and the steps
+are halved otherwise.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -399,11 +401,22 @@ def _factor_tables(powers: Sequence, freqs: Sequence, axes: Sequence[np.ndarray]
     With ``balanced``, (tables, logs): each node's column is divided by its largest modulus, whose log
     is logs[i] there, the exponentials' largest real part split off first so that nothing overflows.
     """
+    return _axis_tables(np.conj(np.array(freqs, dtype=complex)), tuple(zip(*powers)), axes, balanced)
+
+
+def _axis_tables(conj_freqs: np.ndarray, powers: Sequence[Sequence], axes: Sequence[np.ndarray], balanced=False):
+    """``_factor_tables`` from the (terms, axes) conjugate frequencies and, per axis, the terms' powers.
+
+    A power shared by every term is raised once.  Each is raised with the exponent as given: numpy
+    takes z ** 2 for a scalar 2 as a square, whose bits differ from those of a power.
+    """
     tables, logs = [], []
-    for i, z in enumerate(axes):
-        expo = np.array([z * np.conj(f[i]) for f in freqs])
-        shift = expo.real.max(axis=0) if balanced else 0.0
-        tables.append(np.array([np.exp(e - shift) * z ** g[i] for g, e in zip(powers, expo)]))
+    for z, cf, col in zip(axes, conj_freqs.T, powers):
+        expo = z * cf[:, None]
+        if balanced:
+            shift = expo.real.max(axis=0)
+            expo -= shift
+        tables.append(np.exp(expo) * (z ** col[0] if len(set(col)) == 1 else np.array([z**g for g in col])))
         if balanced:
             peak = np.abs(tables[-1]).max(axis=0)
             tables[-1] /= np.where(peak > 0, peak, 1.0)
@@ -426,17 +439,41 @@ def _block_values(coeffs: np.ndarray, tables: Sequence[np.ndarray], rows: slice,
     return np.matmul(np.swapaxes(g, 1, 2), tables[-1], out=out)
 
 
+class TermArrays(NamedTuple):
+    """The terms of f(z) = sum_t coeffs[0, t] prod_i z_i^powers[i][t] e^{z_i conj_freqs[t, i]} as arrays, built once.
+
+    ``powers`` holds per axis the terms' powers as Python ints.
+    """
+
+    coeffs: np.ndarray
+    conj_freqs: np.ndarray
+    powers: tuple[tuple[int, ...], ...]
+
+    @classmethod
+    def of(cls, f: ExpPoly) -> "TermArrays":
+        coeffs = np.array([[t.coeff for t in f.terms]], dtype=complex)
+        freqs = np.array([t.freq for t in f.terms], dtype=complex)
+        return cls(coeffs, np.conj(freqs), tuple(zip(*(t.power for t in f.terms))))
+
+    def tables(self, axes: Sequence[np.ndarray]) -> list[np.ndarray]:
+        """The per-axis factor tables over the complex ``axes``, which ``block`` reads."""
+        return _axis_tables(self.conj_freqs, self.powers, axes)
+
+    def block(self, tables: Sequence[np.ndarray], rows: slice) -> np.ndarray:
+        """f on the ``grid_blocks`` block ``rows`` of the grid of ``tables``, shaped (len rows, len axes[1], ...)."""
+        return _block_values(self.coeffs, tables, rows)[0].reshape(-1, *(t.shape[1] for t in tables[1:]))
+
+
 def tensor_values(f: ExpPoly, axes: Sequence[np.ndarray]) -> Iterator[tuple[slice, np.ndarray]]:
     """``f`` on the tensor grid of the complex ``axes`` (one per variable), block by block.
 
     Yields each ``grid_blocks`` block ``rows`` with the ``_block_values`` there, shaped
     (len rows, len axes[1], ..., len axes[-1]).
     """
-    coeffs = np.array([[t.coeff for t in f.terms]], dtype=complex)
-    tables = _factor_tables([t.power for t in f.terms], [t.freq for t in f.terms], axes)
-    sizes = [len(z) for z in axes]
-    for rows in grid_blocks(sizes):
-        yield rows, _block_values(coeffs, tables, rows)[0].reshape(-1, *sizes[1:])
+    terms = TermArrays.of(f)
+    tables = terms.tables(axes)
+    for rows in grid_blocks([len(z) for z in axes]):
+        yield rows, terms.block(tables, rows)
 
 
 #: share of the separable bound's total that the nodes dropped from one axis may carry
@@ -696,23 +733,87 @@ def fock_norm(f: ExpPoly, p: float, spec: QuadSpec | None = None) -> NormResult:
 
 
 def _grid_max(blocks: Iterable, axes: Sequence[np.ndarray], shell: float | None = None):
-    """(largest value, its point, largest value at radius >= ``shell``) over ``blocks`` of the grid of ``axes``.
+    """(largest value, its index, largest value at radius >= ``shell``) over ``blocks`` of the grid of ``axes``.
 
-    ``blocks`` yields (rows, values) over the ``grid_blocks`` blocks; the shell
-    maximum is -inf without ``shell``.  A non-finite value gives (inf, None, inf).
+    ``blocks`` yields (rows, values) over the ``grid_blocks`` blocks; the index is the first in grid
+    order of the largest value, and the shell maximum is -inf without ``shell``.  A non-finite value
+    gives (inf, None, inf).
     """
     best, best_at, shell_max = -math.inf, None, -math.inf
     for rows, vals in blocks:
-        if not np.all(np.isfinite(vals)):
+        if not np.isfinite(vals).all():
             return math.inf, None, math.inf
         if shell is not None:
             rad = np.sqrt(sum(np.abs(z) ** 2 for z in block_axes(axes, rows)))
             shell_max = max(shell_max, float(vals.max(where=rad >= shell, initial=-np.inf)))
-        idx = np.unravel_index(int(np.argmax(vals)), vals.shape)
+        idx = np.unravel_index(vals.argmax(), vals.shape)
         if vals[idx] > best:
-            best = float(vals[idx])
-            best_at = np.array([z[i] for z, i in zip([axes[0][rows], *axes[1:]], idx)])
+            best, best_at = float(vals[idx]), (rows.start + int(idx[0]), *map(int, idx[1:]))
     return best, best_at, shell_max
+
+
+#: fewest first-axis rows that one evaluation of a bounded start grid takes: on fewer, the matmul of
+#: ``_block_values`` may round differently than inside the whole grid
+_MIN_ROWS = 4
+#: relative margin on a row bound, far above the rounding of the values it bounds
+_BOUND_MARGIN = 1.0 + 2.0**-20
+
+
+def _start_max(blocks: Callable, axes: Sequence[np.ndarray], shell: float, row_bound: np.ndarray | None):
+    """``_grid_max`` of the whole grid, reading only the first-axis rows that ``row_bound`` leaves in.
+
+    ``row_bound[j]`` bounds every value whose first index is j.  The rows of the 4 largest bounds are read
+    first; then every row whose bound times ``_BOUND_MARGIN`` reaches half their largest value, at least 4
+    rows at a time.  The largest value and its index are the whole grid's, and so is the shell maximum where
+    it is at least half the largest value; below that it may be lower.  Without a bound, on one axis, on a
+    last axis of one node (``_block_values`` then sums by a matrix-vector product) or where a block could be
+    left with fewer than 4 rows, the whole grid is read.
+    """
+    sizes = [len(z) for z in axes]
+    step = _GRID_BLOCK // math.prod(sizes[1:])
+    thin = math.prod(sizes[1:-1]) < _MIN_ROWS  # a block's matmul has as many rows as the block
+    whole = len(sizes) == 1 or sizes[-1] == 1 or sizes[0] < 2 * _MIN_ROWS
+    # a thin grid's blocks, its own last one included, must hold at least 4 rows
+    whole = whole or (thin and (step < 2 * _MIN_ROWS or 0 < sizes[0] % step < _MIN_ROWS))
+    if row_bound is None or whole:
+        return _grid_max(blocks(axes), axes, shell)
+    order = np.argsort(-row_bound, kind="stable")
+    found = [_rows_max(blocks, axes, shell, np.sort(order[:_MIN_ROWS]))]
+    if found[0][0] == math.inf:
+        return found[0]
+    rest = order[_MIN_ROWS:]
+    kept = ~(row_bound[rest] * _BOUND_MARGIN < 0.5 * found[0][0])
+    pick = rest[kept]
+    if 0 < len(pick) < _MIN_ROWS:
+        pick = np.concatenate([pick, rest[~kept][: _MIN_ROWS - len(pick)]])
+    if thin and len(pick) > step:
+        return _grid_max(blocks(axes), axes, shell)
+    if len(pick):
+        found.append(_rows_max(blocks, axes, shell, np.sort(pick)))
+    best = max(value for value, _, _ in found)
+    return best, min(at for value, at, _ in found if value == best), max(edge for _, _, edge in found)
+
+
+def _rows_max(blocks: Callable, axes: Sequence[np.ndarray], shell: float, rows: np.ndarray):
+    """``_grid_max`` over the first-axis ``rows`` (ascending) of the grid of ``axes``, indexed in the whole grid."""
+    sub = [axes[0][rows], *axes[1:]]
+    value, at, shell_max = _grid_max(blocks(sub), sub, shell)
+    return value, None if at is None else (int(rows[at[0]]), *at[1:]), shell_max
+
+
+@lru_cache(maxsize=8)
+def _stencil(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Where a quadratic model reads a stencil of 3 nodes per real axis (flat, C order) on ``dim`` axes.
+
+    Returns the pairs k < m of axes and one index array: the nodes one step
+    up each axis, one step down each axis, the centre, and per pair its
+    corners ++, +-, -+ and --, in that order.
+    """
+    centre = (3**dim - 1) // 2
+    stride = 3 ** np.arange(dim - 1, -1, -1)
+    k, m = np.triu_indices(dim, 1)
+    corners = [centre + a * stride[k] + b * stride[m] for a, b in ((1, 1), (1, -1), (-1, 1), (-1, -1))]
+    return k, m, np.concatenate([centre + stride, centre - stride, [centre], *corners])
 
 
 def _model_steps(values: np.ndarray, steps: np.ndarray) -> np.ndarray | None:
@@ -727,47 +828,52 @@ def _model_steps(values: np.ndarray, steps: np.ndarray) -> np.ndarray | None:
     """
     h = steps.ravel()
     dim = len(h)
-    logs = np.log(values.reshape((3,) * dim))
-    grad, hess = np.empty(dim), np.empty((dim, dim))
-    for k in range(dim):
-        line = logs[tuple(slice(None) if j == k else 1 for j in range(dim))]
-        grad[k] = (line[2] - line[0]) / (2.0 * h[k])
-        hess[k, k] = (line[2] - 2.0 * line[1] + line[0]) / h[k] ** 2
-        for m in range(k + 1, dim):
-            sq = logs[tuple(slice(None) if j in (k, m) else 1 for j in range(dim))]
-            hess[k, m] = hess[m, k] = (sq[2, 2] - sq[2, 0] - sq[0, 2] + sq[0, 0]) / (4.0 * h[k] * h[m])
-    if not (np.all(np.isfinite(grad)) and np.all(np.isfinite(hess))) or np.linalg.eigvalsh(hess).max() >= 0.0:
+    k, m, index = _stencil(dim)
+    logs = np.log(values.ravel()[index])
+    up, down, centre = logs[:dim], logs[dim : 2 * dim], logs[2 * dim]
+    pp, pm, mp, mm = logs[2 * dim + 1 :].reshape(4, -1)
+    grad = (up - down) / (2.0 * h)
+    hess = np.empty((dim, dim))
+    hess.flat[:: dim + 1] = (up - 2.0 * centre + down) / h**2
+    hess[k, m] = hess[m, k] = (pp - pm - mp + mm) / (4.0 * h[k] * h[m])
+    if not (np.isfinite(grad).all() and np.isfinite(hess).all()) or np.linalg.eigvalsh(hess).max() >= 0.0:
         return None
     offsets = np.abs(np.linalg.solve(hess, grad))
-    if np.any(offsets > h):
+    if (offsets > h).any():
         return None
-    return np.clip(offsets, h / 64.0, h / 2.0).reshape(steps.shape)
+    return np.minimum(np.maximum(offsets, h / 64.0), h / 2.0).reshape(steps.shape)
 
 
-def tensor_sup(blocks: Callable, axes: Sequence[np.ndarray], free: Sequence[int], refine_iters: int):
+def tensor_sup(blocks: Callable, axes: Sequence[np.ndarray], free: Sequence[int], refine_iters: int,
+               row_bound: np.ndarray | None = None):
     """Largest value on a tensor grid, refined by the same search on shrinking grids around the best node.
 
     ``blocks(axes)`` yields (rows, values) over the ``grid_blocks`` blocks of
-    the tensor grid of the complex ``axes`` (overflow there is ignored).  Each
-    refinement level evaluates a 3 x 3 grid per coordinate in ``free`` (the
-    others stay at the best node), with steps kept per real axis, half the
-    spacing of each axis's real parts at first.  It moves to the level's best
-    node when that is higher.  Otherwise ``_model_steps`` sets the next steps
-    by a Newton step, so that the next stencil holds the model's maximizer,
-    and where the model fails they halve.  The search stops when every step
-    is at most 1e-9 or after 150 * ``refine_iters`` levels.  Returns (value,
-    err_estimate, edge_ratio): err_estimate is the refinement's gain over the
-    best grid node, not a bound, and edge_ratio the largest value on the
-    outer shell (radius >= 0.8 of the largest) over the overall one; from 0.5
-    on, values grow toward the boundary and the maximum is not refined.  A
-    non-finite grid value gives (inf, inf, 1.0), a non-finite refinement
-    value (inf, inf, edge_ratio).
+    the tensor grid of the complex ``axes`` (overflow there is ignored).
+    ``row_bound``, if given, bounds the values of each first-axis row of that
+    grid, and ``_start_max`` reads only the rows that can hold values of at
+    least half the largest.  Each refinement level evaluates a 3 x 3 grid per
+    coordinate in ``free`` (the others stay at the best node), with steps kept
+    per real axis, half the spacing of each axis's real parts at first.  It
+    moves to the level's best node when that is higher.  Otherwise
+    ``_model_steps`` sets the next steps by a Newton step, so that the next
+    stencil holds the model's maximizer, and where the model fails they
+    halve.  The search stops when every step is at most 1e-9 or after
+    150 * ``refine_iters`` levels.  Returns (value, err_estimate, edge_ratio):
+    err_estimate is the refinement's gain over the best grid node, not a
+    bound, and edge_ratio the largest value on the outer shell (radius >= 0.8
+    of the largest) over the overall one; from 0.5 on, values grow toward the
+    boundary and the maximum is not refined.  From 0.5 on the ratio is the
+    whole grid's; below 0.5, with a ``row_bound``, it is that of the rows
+    read, at most the whole grid's.  A non-finite grid value gives
+    (inf, inf, 1.0), a non-finite refinement value (inf, inf, edge_ratio).
     """
     rmax = math.sqrt(sum(float(np.max(np.abs(z) ** 2)) for z in axes))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        best, best_at, shell_max = _grid_max(blocks(axes), axes, 0.8 * rmax)
+        best, at, shell_max = _start_max(blocks, axes, 0.8 * rmax, row_bound)
         if best == math.inf:
             return math.inf, math.inf, 1.0
+        best_at = np.array([z[i] for z, i in zip(axes, at)])
         edge = shell_max / best if best > 0 else 0.0
         refined, offsets, free = best, np.array([-1.0, 0.0, 1.0]), sorted(free)
         spacing = [float(np.ptp(axes[i].real)) / (len(np.unique(axes[i].real)) - 1) / 2 for i in free]
@@ -775,15 +881,16 @@ def tensor_sup(blocks: Callable, axes: Sequence[np.ndarray], free: Sequence[int]
         for _ in range(150 * refine_iters if best > 0 and edge < 0.5 else 0):
             if steps.max() <= 1e-9:
                 break
-            local = [np.array([z]) for z in best_at]
-            for i, (hx, hy) in zip(free, steps):
-                local[i] = plane_axis(best_at[i].real + hx * offsets, best_at[i].imag + hy * offsets)
+            nodes = best_at[free].view(float).reshape(-1, 2, 1) + steps[:, :, None] * offsets  # real, imaginary
+            local = list(best_at[:, None])
+            for i, plane in zip(free, (nodes[:, 0, :, None] + 1j * nodes[:, 1, None, :]).reshape(len(free), -1)):
+                local[i] = plane
             level = list(blocks(local))
             value, at, _ = _grid_max(level, local)
             if value == math.inf:
                 return value, value, edge
             if value > refined:
-                refined, best_at = value, at
+                refined, best_at = value, np.array([z[i] for z, i in zip(local, at)])
             else:
                 model = _model_steps(np.concatenate([vals for _, vals in level]), steps)
                 steps = steps / 2 if model is None else model
@@ -874,9 +981,13 @@ def slice_norm_many(psi: ExpPoly, q: float, heads: np.ndarray, spec: QuadSpec | 
         square = np.sum((coeffs @ _tail_gram(psi, s)) * np.conj(coeffs), axis=1).real
         return np.sqrt(np.maximum(square, 0.0))
     out = np.zeros(len(heads))
-    patterns, which = np.unique(kept, axis=0, return_inverse=True)
-    for pattern, survivors in enumerate(patterns):
-        rows, groups = np.flatnonzero(which.ravel() == pattern), np.flatnonzero(survivors)
+    if len(kept) and (kept == kept[0]).all():  # one set of survivors: no need to sort the rows into sets
+        sets = [(kept[0], np.arange(len(kept)))]
+    else:
+        patterns, which = np.unique(kept, axis=0, return_inverse=True)
+        sets = [(survivors, np.flatnonzero(which.ravel() == k)) for k, survivors in enumerate(patterns)]
+    for survivors, rows in sets:
+        groups = np.flatnonzero(survivors)
         if len(groups) == 1 and spec.allow_closed_form:
             g = groups[0]
             out[rows] = size[rows, g] * single_term_norm(1.0 + 0j, powers[g], freqs[g], q)

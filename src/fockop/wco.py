@@ -26,7 +26,9 @@ reported as evidence, never as a certificate.
 Except on a rank < n map whose symbol has several frequencies or tail
 monomials, where ell reads slice norms (one ``quad.slice_norm_many`` call per
 batch of points), ell is separable (``SeparableEll``) and its grids are
-evaluated with ``quad.tensor_values``.  ``ell_log_integral`` is the one
+evaluated from its g's ``quad.TermArrays``, built once per profile.  The
+numeric sup search there skips the start-grid rows that a separable bound
+(``_row_bound``) keeps below half the largest value.  ``ell_log_integral`` is the one
 Gauss-Hermite integral of ell: its L^r norm here, and the pullback measure of
 ``carleson``, whose density is ell^q e^{-q|phi_t|^2/2}; on the separable form
 it is one ``quad.tensor_log_sums`` over |g|^power, every other factor and
@@ -47,9 +49,9 @@ import numpy as np
 from .errors import DimensionError, DomainError, UnsupportedExponentsError
 from .funcspace import AffineMap, ExpPoly, Term, compose_affine, constant
 from .linalg import SvdTriple, as_cvector, svd
-from .quad import DEFAULT_SPEC, NormResult, QuadSpec, block_axes, exp_or_inf, factor_argmax, factor_log_max, fock_norm
-from .quad import grid_blocks, grid_points, hermite_rule, log_sum_exp, plane_axis, single_term_norm, slice_norm_many
-from .quad import tensor_log_sums, tensor_sup, tensor_values
+from .quad import DEFAULT_SPEC, NormResult, QuadSpec, TermArrays, block_axes, exp_or_inf, factor_argmax, factor_log_max
+from .quad import fock_norm, grid_blocks, grid_points, hermite_rule, log_sum_exp, plane_axis, single_term_norm
+from .quad import slice_norm_many, tensor_log_sums, tensor_sup
 from .special import log_hyp1f1
 
 __all__ = [
@@ -62,7 +64,6 @@ __all__ = [
     "CarlesonReport",
     "Analysis",
     "analyze",
-    "admissibility",
     "normalize",
     "normalize_pair",
     "alternative_normalization",
@@ -187,6 +188,12 @@ class EllProfile:
     normalization: Normalization
     separable: SeparableEll | None = field(default=None, repr=False)
 
+    @cached_property
+    def g_terms(self) -> TermArrays | None:
+        """The terms of the separable form's g as arrays, built once (None where g is 1 or ell is not separable)."""
+        sep = self.separable
+        return None if sep is None or sep.g is None else TermArrays.of(sep.g)
+
 
 @dataclass(frozen=True)
 class Classification:
@@ -215,10 +222,6 @@ class CarlesonReport:
 
 
 # -- admissibility and normalization ----------------------------------------
-
-
-def admissibility(problem: WcoProblem) -> AdmissibilityReport:
-    return _admissibility(svd(problem.phi.A))
 
 
 def _admissibility(t: SvdTriple) -> AdmissibilityReport:
@@ -387,7 +390,7 @@ def _separable_log_ell(profile: EllProfile, zs: Sequence[np.ndarray], g_values: 
             with np.errstate(divide="ignore"):
                 logv += d * np.log(mod)
         logv += ((a**2 - 1.0) / 2.0) * mod**2
-        logv += np.real(z * np.conj(u))
+        logv += (z * u.conjugate()).real
     return logv
 
 
@@ -415,16 +418,17 @@ def _ell_blocks(profile: EllProfile, axes: Sequence[np.ndarray], spec: QuadSpec,
 
     The values are shaped like the block.  With ``where``, a mask of the block
     computed from its ``block_axes``, only the points it keeps are evaluated
-    and yielded, flat in grid order.
+    and yielded, flat in grid order.  On the separable form, g comes from the
+    profile's term arrays, whose factor tables are built once per grid.
     """
-    sep = profile.separable
+    sep, terms = profile.separable, profile.g_terms
     sizes = [len(z) for z in axes]
-    has_g = sep is not None and sep.g is not None
-    for rows, g_values in tensor_values(sep.g, axes) if has_g else ((rows, None) for rows in grid_blocks(sizes)):
+    tables = None if terms is None else terms.tables(axes)
+    for rows in grid_blocks(sizes):
         zs = block_axes(axes, rows)
         keep = None if where is None else where(zs)
         if sep is not None:
-            vals = np.exp(_separable_log_ell(profile, zs, g_values))
+            vals = np.exp(_separable_log_ell(profile, zs, None if terms is None else terms.block(tables, rows)))
             yield rows, (vals if keep is None else vals[keep])
             continue
         pts = grid_points(axes, rows)
@@ -432,16 +436,48 @@ def _ell_blocks(profile: EllProfile, axes: Sequence[np.ndarray], spec: QuadSpec,
         yield rows, (vals.reshape(-1, *sizes[1:]) if keep is None else vals)
 
 
+def _row_bound(profile: EllProfile, axes: Sequence[np.ndarray]) -> np.ndarray:
+    """A bound on the separable ell over each first-axis row of the tensor grid of the head ``axes``.
+
+    With u_ti(z) = z^g_ti e^{z conj f_ti} the factors of g's terms c_t (g = 1
+    where ``g`` is None) and phi_i the per-axis log terms of ``SeparableEll``,
+    |g| <= sum_t |c_t| prod_i |u_ti|, so at every point whose first coordinate is z_1
+
+        ell <= e^{sum log_const + phi_1(z_1)} sum_t |c_t| |u_t1(z_1)| prod_{i>1} max over the nodes of |u_ti| e^{phi_i};
+
+    the floor 1e-300 that ``_separable_log_ell`` puts under |g| is bounded the
+    same way, as one more term.  Summed in logs, so a bound past the double
+    range reads inf.
+    """
+    sep = profile.separable
+    terms = (sep.g if sep.g is not None else constant(profile.s)).terms
+    coeff_logs = np.log([abs(t.coeff) for t in terms] + [1e-300])
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        logs = []  # per axis, (terms + 1, nodes) log|u_ti| + phi_i, the floor's row last
+        for i, (z, a, d, u) in enumerate(zip(axes, profile.a, sep.d, sep.u)):
+            log_mod = np.log(np.abs(z))
+            phi = ((a * a - 1.0) / 2.0) * np.abs(z) ** 2 + (z * u.conjugate()).real + (d * log_mod if d else 0.0)
+            rows = [(z * t.freq[i].conjugate()).real + (t.power[i] * log_mod if t.power[i] else 0.0) for t in terms]
+            logs.append(np.array(rows + [np.zeros(len(z))]) + phi)
+        top = sum(v.max(axis=1) for v in logs[1:])
+        bound = np.exp(coeff_logs[:, None] + sum(sep.log_const) + logs[0] + np.reshape(top, (-1, 1)))
+        return np.maximum(bound[:-1].sum(axis=0), bound[-1])
+
+
 #: points per real axis of the sup search grid of ell, by number of active coordinates (7 beyond)
 _SUP_GRID = {1: 17, 2: 15}
 
 
 def _numeric_sup(profile: EllProfile, spec: QuadSpec, radii: list[float], active: list[int]) -> tuple[float, float, float]:
-    """``quad.tensor_sup`` of ell over the active coordinates (the others stay 0): (value, err, edge ratio)."""
+    """``quad.tensor_sup`` of ell over the active coordinates (the others stay 0): (value, err, edge ratio).
+
+    On the separable form ``_row_bound`` lets the search skip the grid rows that cannot hold the maximum.
+    """
     g = _SUP_GRID.get(len(active), 7)
     lines = [np.linspace(-r, r, g) for r in radii]
     axes = [plane_axis(x, x) if i in active else np.zeros(1, dtype=complex) for i, x in enumerate(lines)]
-    return tensor_sup(lambda ax: _ell_blocks(profile, ax, spec), axes, active, spec.refine_iters)
+    bound = None if profile.separable is None else _row_bound(profile, axes)
+    return tensor_sup(lambda ax: _ell_blocks(profile, ax, spec), axes, active, spec.refine_iters, bound)
 
 
 def ell_sup(profile: EllProfile, spec: QuadSpec | None = None) -> NormResult:

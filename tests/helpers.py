@@ -16,6 +16,29 @@ CORPUS_DIR = PKG_ROOT / "corpus"
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
 
+#: a problem file kept out of ``corpus/``: two frequencies on C^2 under a full-rank map, whose sup of ell
+#: is a numeric search on a 15^4-node start grid (the ``multi_frequency`` problem a016 of perfbench's
+#: seed-1 analyze mix)
+TWO_FREQUENCIES_N2 = {
+    "version": 1,
+    "label": "two frequencies on C^2, full rank",
+    "n": 2,
+    "p": 2.0,
+    "q": 2.0,
+    "psi": [
+        {"coeff": [-0.7128469795143828, 0.7013196017488896], "power": [0, 0],
+         "freq": [[-0.10580567166206187, 0.5338751646143023], [0.12462107968811897, -0.1680834761348038]]},
+        {"coeff": [-0.5008674487019954, -0.4890110416245772], "power": [0, 0],
+         "freq": [[-0.05951733184052414, 0.024523143331188463], [0.5933016786171115, -0.2094025329404125]]},
+    ],
+    "phi": {
+        "A": [[0.3896495545754983, 0.21624618775650628], [-0.17461501266203736, -0.27676095352854274],
+              [0.1973538377876232, 0.3290289859577655], [0.11085878870487736, 0.31197035264891804]],
+        "b": [[-0.131130387082529, -0.04559050812356891], [0.2711905721629024, -0.1793934244128768]],
+    },
+}
+
+
 def corpus_problems():
     """(label, WcoProblem) pairs for every shipped problem file."""
     return [(lp.label, lp.problem) for lp in load_corpus(CORPUS_DIR)]

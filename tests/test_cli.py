@@ -9,7 +9,7 @@ import mpmath
 import pytest
 
 from fockop import cli, wco
-from helpers import CORPUS_DIR, GOLDEN_DIR, corpus_path
+from helpers import CORPUS_DIR, GOLDEN_DIR, TWO_FREQUENCIES_N2, corpus_path
 
 
 def run_cli(*args, env=None):
@@ -108,6 +108,15 @@ def test_text_report_matches_golden():
     r = run_cli("bounds", str(corpus_path("16_displacement")), "--text")
     assert r.returncode == 0
     assert r.stdout == (GOLDEN_DIR / "bounds_16_displacement.txt").read_text()
+
+
+def test_two_frequency_bounds_match_golden(tmp_path):
+    """A numeric sup on a 15^4-node start grid whose row bound skips most rows: the report of the whole grid."""
+    path = tmp_path / "two_frequencies_n2.json"
+    path.write_text(json.dumps(TWO_FREQUENCIES_N2))
+    r = run_cli("bounds", str(path))
+    assert r.returncode == 0
+    assert r.stdout == (GOLDEN_DIR / "bounds_two_frequencies_n2.json").read_text()
 
 
 def test_reports_are_deterministic():

@@ -16,6 +16,7 @@ from fockop.funcspace import (
     AffineMap,
     ExpPoly,
     Term,
+    canonical_terms,
     compose_affine,
     constant,
     kernel,
@@ -56,6 +57,17 @@ def test_canonical_form_merges_like_terms():
     f = ExpPoly(1, (Term(1.0, (0,), (0.5,)), Term(2.0, (0,), (0.5,)), Term(0.0, (3,), (0.0,))))
     assert len(f.terms) == 1
     assert f.almost_equal(kernel([0.5]).scale(3.0))
+
+
+@pytest.mark.parametrize("coeff", [0.5 - 2.0j, 5e-324 + 0j, 1e308 + 1e308j, 0j])
+def test_a_single_term_keeps_the_canonical_rule(coeff):
+    """One term: kept unless its coefficient is 0 or its modulus overflows (inf > 1e-14 * inf fails), as with
+    several terms, where a second term's cancellation leaves the same one behind."""
+    t = Term(coeff, (1,), (0.5j,))
+    kept = canonical_terms(1, [t])
+    assert kept == ((t,) if 0 < abs(coeff) < math.inf else ())
+    pair = canonical_terms(1, [t, Term(1.0, (2,), (0j,)), Term(-1.0, (2,), (0j,))])
+    assert kept == pair
 
 
 def test_zero_detection():

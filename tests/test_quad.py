@@ -245,6 +245,19 @@ def test_cancelling_terms_take_the_whole_rule(monkeypatch, n):
     assert pruned == quad._gh_integral_norm(f, 1.0, 40)
 
 
+def test_batched_slice_norms_with_one_set_of_survivors_skip_the_sort(monkeypatch):
+    """Where every head keeps the same tail groups the rows are not sorted into sets, and each value keeps
+    the bits it has next to a head that drops a group (e^{5 z1} outgrows z2 by 10^14 at z1 = 10)."""
+    f = ExpPoly(2, (Term(1.0 + 0j, (0, 0), (5.0 + 0j, 0j)), Term(0.5j, (0, 1), (0.2j, 0.3 + 0j))))
+    heads = np.array([[0.1], [0.3 - 0.2j], [-0.5j], [1.0]])
+    unique, sorts = np.unique, []
+    monkeypatch.setattr(quad.np, "unique", lambda rows, **kwargs: sorts.append(len(rows)) or unique(rows, **kwargs))
+    mixed = quad.slice_norm_many(f, 3.0, np.concatenate([heads, [[10.0]]]))
+    assert sorts == [5]
+    alone = quad.slice_norm_many(f, 3.0, heads)
+    assert sorts == [5] and np.array_equal(alone, mixed[:-1])
+
+
 def test_batched_slice_norms_prune_per_point(monkeypatch):
     # the head coordinate scales the three terms by powers 0, 1 and 2 of heads spread over four decades
     f = ExpPoly(3, (
@@ -261,6 +274,40 @@ def test_batched_slice_norms_prune_per_point(monkeypatch):
     assert np.all(np.abs(pruned - whole) <= 1e-13 * whole)
     for h, value in zip(heads, whole):
         assert value == pytest.approx(slice_norm(f, 0.7, h).value, rel=1e-13)
+
+
+def _factor_tables_per_term(powers, freqs, axes, balanced=False):
+    """``quad._factor_tables`` one term at a time: the reference for its whole-table form."""
+    tables, logs = [], []
+    for i, z in enumerate(axes):
+        expo = np.array([z * np.conj(f[i]) for f in freqs])
+        shift = expo.real.max(axis=0) if balanced else 0.0
+        tables.append(np.array([np.exp(e - shift) * z ** g[i] for g, e in zip(powers, expo)]))
+        if balanced:
+            peak = np.abs(tables[-1]).max(axis=0)
+            tables[-1] /= np.where(peak > 0, peak, 1.0)
+            logs.append(shift + np.log(peak))
+    return (tables, logs) if balanced else tables
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_factor_tables_keep_the_bits_of_one_term_at_a_time(seed):
+    # powers 0-3 per term, shared by every term on some axes, and a node at 0
+    rng = np.random.default_rng(seed)
+    n, count = 1 + seed % 3, 1 + seed % 4
+    powers = [tuple(int(g) for g in rng.integers(0, 4, n)) for _ in range(count)]
+    if seed % 2:
+        powers = [(powers[0][0], *g[1:]) for g in powers]
+    freqs = [tuple(complex(*rng.normal(size=2)) for _ in range(n)) for _ in range(count)]
+    axes = [np.append(3.0 * (rng.normal(size=30) + 1j * rng.normal(size=30)), 0j) for _ in range(n)]
+    for balanced in (False, True):
+        with np.errstate(divide="ignore"):  # a column of zeros at the node 0 has the log -inf
+            got = quad._factor_tables(powers, freqs, axes, balanced)
+            want = _factor_tables_per_term(powers, freqs, axes, balanced)
+        if balanced:
+            got, want = got[0] + got[1], want[0] + want[1]
+        for a, b in zip(got, want):
+            assert np.array_equal(a.view(float), b.view(float))
 
 
 @pytest.mark.parametrize("p", [0.5, 0.7, 1.0, 3.5])
@@ -419,6 +466,25 @@ def test_gh_norm_integrates_every_coordinate():
 # -- the sup search ---------------------------------------------------------------
 
 
+@pytest.mark.parametrize("seed", range(8))
+def test_four_or_more_rows_keep_the_bits_of_the_whole_grid(seed):
+    """The sup search's row skip evaluates chosen first-axis rows on their own.  From 4 rows on, contiguous
+    or not, the matmul of ``_block_values`` gives each value the bits it has inside the whole grid; a single
+    row goes through a matrix-vector product instead."""
+    rng = np.random.default_rng(seed)
+    cplx = lambda size: rng.normal(size=size) + 1j * rng.normal(size=size)  # noqa: E731
+    terms = [Term(complex(cplx(1)[0]), tuple(rng.integers(0, 3, 2)), tuple(0.5 * cplx(2))) for _ in range(1 + seed % 4)]
+    f = ExpPoly(2, tuple(terms))
+    sizes = rng.integers(40, 301, 2)
+    axes = [3.0 * cplx(k) for k in sizes]
+    whole = np.concatenate([v for _, v in quad.tensor_values(f, axes)])
+    for m in (4, 5, 7, 13):
+        lo = int(rng.integers(0, sizes[0] - m + 1))
+        for rows in (np.arange(lo, lo + m), np.sort(rng.choice(sizes[0], m, replace=False))):
+            part = np.concatenate([v for _, v in quad.tensor_values(f, [axes[0][rows], axes[1]])])
+            assert np.array_equal(part.view(float), whole[rows].view(float))
+
+
 def _sup_blocks(value_at, levels):
     """tensor_sup's block stream of ``value_at(block_axes)``, appending each grid's point count to ``levels``."""
 
@@ -433,6 +499,49 @@ def _sup_blocks(value_at, levels):
 def _bump_blocks(center, levels):
     """tensor_sup's block stream of e^{-|z - center|^2}."""
     return _sup_blocks(lambda zs: np.exp(-sum(np.abs(z - c) ** 2 for z, c in zip(zs, center))), levels)
+
+
+def _model_steps_by_lines(values, steps):
+    """``quad._model_steps`` with each difference read off its own line or square of the stencil: the reference."""
+    h = steps.ravel()
+    dim = len(h)
+    logs = np.log(values.reshape((3,) * dim))
+    grad, hess = np.empty(dim), np.empty((dim, dim))
+    for k in range(dim):
+        line = logs[tuple(slice(None) if j == k else 1 for j in range(dim))]
+        grad[k] = (line[2] - line[0]) / (2.0 * h[k])
+        hess[k, k] = (line[2] - 2.0 * line[1] + line[0]) / h[k] ** 2
+        for m in range(k + 1, dim):
+            sq = logs[tuple(slice(None) if j in (k, m) else 1 for j in range(dim))]
+            hess[k, m] = hess[m, k] = (sq[2, 2] - sq[2, 0] - sq[0, 2] + sq[0, 0]) / (4.0 * h[k] * h[m])
+    if not (np.all(np.isfinite(grad)) and np.all(np.isfinite(hess))) or np.linalg.eigvalsh(hess).max() >= 0.0:
+        return None
+    offsets = np.abs(np.linalg.solve(hess, grad))
+    if np.any(offsets > h):
+        return None
+    return np.clip(offsets, h / 64.0, h / 2.0).reshape(steps.shape)
+
+
+@pytest.mark.parametrize("free", [1, 2, 3])
+def test_model_steps_keep_the_bits_of_the_line_by_line_differences(free):
+    # log-quadratic stencils around seeded maximizers, some off the stencil, some not concave, with noise
+    rng = np.random.default_rng(free)
+    dim, taken = 2 * free, 0
+    grid = np.stack(np.meshgrid(*[[-1.0, 0.0, 1.0]] * dim, indexing="ij"), axis=-1).reshape(-1, dim)
+    for _ in range(200):
+        steps = np.exp(rng.uniform(-6.0, 0.0, (free, 2)))
+        root = rng.normal(size=(dim, dim))
+        curvature = root @ root.T * rng.choice([-1.0, 1.0], p=[0.8, 0.2])
+        centre = rng.normal(scale=0.3, size=dim)
+        x = grid * steps.ravel() - centre * steps.ravel()
+        logs = -0.5 * np.einsum("pi,ij,pj->p", x, curvature, x) / steps.max() ** 2
+        values = np.exp(logs + 1e-9 * rng.normal(size=len(x)))
+        got, want = quad._model_steps(values, steps), _model_steps_by_lines(values, steps)
+        assert (got is None) == (want is None)
+        if got is not None:
+            taken += 1
+            assert np.array_equal(got, want)
+    assert 0 < taken < 200
 
 
 def test_tensor_sup_refines_the_best_node_to_an_off_grid_maximum():

@@ -18,11 +18,12 @@ from fockop import cli
 from fockop.errors import DomainError, UnsupportedExponentsError
 from fockop.funcspace import AffineMap, ExpPoly, Term, constant, kernel, monomial
 from fockop.linalg import is_unitary
-from fockop import quad
+from fockop import quad, wco
 from fockop.quad import QuadSpec, slice_norm
 from fockop.wco import (
     WcoProblem,
     alternative_normalization,
+    analyze,
     classify,
     ell_at,
     ell_at_many,
@@ -34,7 +35,7 @@ from fockop.wco import (
     normalize,
 )
 
-from helpers import composition_criterion, corpus_path, m_at
+from helpers import TWO_FREQUENCIES_N2, composition_criterion, corpus_path, m_at
 
 
 def problem_07():
@@ -401,3 +402,91 @@ def test_essential_norm_exponent_guard():
 def test_essential_bounds_sandwich_ratio():
     nb = essential_norm_bounds(problem_07())
     assert nb.essential_upper == pytest.approx(4.0 * nb.essential_lower, rel=1e-12)
+
+
+# -- the row bound of the numeric sup ---------------------------------------------
+
+
+def _separable_case(seed, s, kind):
+    """A seeded profile on C^s whose ell is separable: ``single`` one term (certified, g = 1), ``head`` a
+    polynomial times one frequency (certified, g the polynomial), ``frequencies`` three terms with their own
+    frequencies and powers under a full-rank map (numeric evidence, g = psi_t)."""
+    rng = np.random.default_rng(seed)
+    cplx = lambda *shape: rng.normal(size=shape) + 1j * rng.normal(size=shape)  # noqa: E731
+    sigma = np.sort(rng.uniform(0.3, 0.8, s))[::-1]
+    if kind == "frequencies":
+        V, U = np.linalg.qr(cplx(s, s))[0], np.linalg.qr(cplx(s, s))[0]
+        A, b = V @ np.diag(sigma) @ U, 0.3 * cplx(s)
+        terms = [
+            Term(complex(*rng.normal(size=2)), tuple(rng.integers(0, 3, s)), tuple(0.4 * cplx(s))) for _ in range(3)
+        ]
+    else:
+        A, b, f = np.diag(sigma), 0.3 * cplx(s), tuple(0.4 * cplx(s))
+        count = 1 if kind == "single" else 3
+        terms = [Term(complex(*rng.normal(size=2)), tuple(rng.integers(0, 3, s)), f) for _ in range(count)]
+    profile = ell_profile(normalize(WcoProblem(ExpPoly(s, tuple(terms)), AffineMap(A, b), 2.0, 2.0)), 2.0)
+    assert profile.separable is not None and (profile.separable.g is None) == (kind == "single")
+    assert profile.mode == ("numeric_evidence" if kind == "frequencies" else "certified")
+    return profile
+
+
+ROW_BOUND_CASES = [(seed, s, kind) for s in (2, 3) for kind in ("single", "head", "frequencies") for seed in (1, 2)]
+
+
+def _start_grid(profile, radius):
+    """The axes of ``wco._numeric_sup``'s start grid over radius ``radius`` on every coordinate."""
+    line = np.linspace(-radius, radius, wco._SUP_GRID.get(profile.s, 7))
+    return [quad.plane_axis(line, line)] * profile.s
+
+
+@pytest.mark.parametrize("seed,s,kind", ROW_BOUND_CASES)
+def test_row_bound_is_at_least_every_ell_value_of_its_row(seed, s, kind):
+    profile = _separable_case(seed, s, kind)
+    for radius in (3.0, 10.0):
+        axes = _start_grid(profile, radius)
+        bound = wco._row_bound(profile, axes)
+        blocks = wco._ell_blocks(profile, axes, QuadSpec())
+        rows = np.concatenate([ell.reshape(len(ell), -1).max(axis=1) for _, ell in blocks])
+        assert np.isfinite(bound).all() and rows.max() > 0
+        # rounding apart, far below the margin the row skip allows
+        assert (rows <= bound * (1.0 + 1e-12)).all()
+        assert 1e-12 < quad._BOUND_MARGIN - 1.0
+
+
+@pytest.mark.parametrize("seed,s,kind", ROW_BOUND_CASES)
+def test_the_row_bound_changes_no_sup(seed, s, kind):
+    """With and without the bound: the same largest value, best node, shell maximum from 0.5 on, sup and gain."""
+    profile = _separable_case(seed, s, kind)
+    for radius in (3.0, 10.0):
+        axes = _start_grid(profile, radius)
+        bound = wco._row_bound(profile, axes)
+        blocks = lambda ax: wco._ell_blocks(profile, ax, QuadSpec())  # noqa: E731
+        shell = 0.8 * radius * math.sqrt(2 * s)
+        whole, skipped = quad._start_max(blocks, axes, shell, None), quad._start_max(blocks, axes, shell, bound)
+        assert skipped[:2] == whole[:2]
+        assert skipped[2] <= whole[2] and (skipped[2] >= 0.5 * whole[0]) == (whole[2] >= 0.5 * whole[0])
+        if whole[2] >= 0.5 * whole[0]:
+            assert skipped[2] == whole[2]
+        value, err, edge = quad.tensor_sup(blocks, axes, list(range(s)), 2)
+        assert quad.tensor_sup(blocks, axes, list(range(s)), 2, bound)[:2] == (value, err)
+        assert (quad.tensor_sup(blocks, axes, list(range(s)), 2, bound)[2] >= 0.5) == (edge >= 0.5)
+
+
+def test_the_start_grid_of_two_frequencies_reads_few_points(monkeypatch):
+    """The row bound leaves at most 5% of the 15^4 start grid of a two-frequency problem on C^2 to evaluate."""
+    profile = analyze(cli.parse_problem(TWO_FREQUENCIES_N2).problem).profile
+    start_max, read = quad._start_max, []
+
+    def counted(blocks, axes, shell, row_bound):
+        def counting(ax):
+            read.append(math.prod(len(z) for z in ax))
+            return blocks(ax)
+
+        return start_max(counting, axes, shell, row_bound)
+
+    monkeypatch.setattr(quad, "_start_max", counted)
+    value = ell_sup(profile).value
+    assert 0 < sum(read) <= 0.05 * 15**4 and len(read) <= 3
+    monkeypatch.setattr(wco, "_row_bound", lambda profile, axes: None)
+    read.clear()
+    assert ell_sup(profile).value == value and read == [15**4]
